@@ -38,15 +38,14 @@ def noise_variance(ebn0_db: float, rate: float) -> float:
 class ChannelSpec:
     """One channel configuration: kind, operating point, and rate.
 
-    ``rho`` only applies to the correlated kind; ``block_fading`` only to
-    rayleigh (the fade is one scalar per transmitted block).
+    ``rho`` only applies to the correlated kind.  The rayleigh fade is one
+    scalar per transmitted block.
     """
 
     kind: str = "awgn"
     ebn0_db: float = 7.0
     rate: float = 4.0 / 7.0
     rho: float = 0.0
-    block_fading: bool = True
 
     def __post_init__(self):
         if self.kind not in CHANNEL_KINDS:
@@ -61,15 +60,13 @@ class ChannelSpec:
             raise ConfigurationError(
                 f"ebn0_db must be finite or +inf, got {self.ebn0_db}"
             )
-        if self.kind == "rayleigh" and not self.block_fading:
-            raise ConfigurationError("rayleigh channel supports block fading only")
 
     @property
     def sigma2(self) -> float:
         return noise_variance(self.ebn0_db, self.rate)
 
     def with_ebn0(self, ebn0_db: float) -> "ChannelSpec":
-        return ChannelSpec(self.kind, ebn0_db, self.rate, self.rho, self.block_fading)
+        return ChannelSpec(self.kind, ebn0_db, self.rate, self.rho)
 
 
 def correlation_factor(rho: float, n: int, sigma2: float) -> np.ndarray:

@@ -9,7 +9,8 @@ Config files are sectioned ``key = value`` text:
 Sections are ``channel``, ``training``, ``sweep``, and ``seeds``.  Unknown
 sections or keys are hard errors with line numbers; an empty file yields
 the full defaults (committed as ``configs/reference.cfg``).  Lists are
-comma-separated; the code rate may be written as a fraction (``4/7``).
+comma-separated; the code rate is written as k/n in lowest terms (``4/7``),
+which fixes block_bits = k and channel_uses = n.
 """
 
 from dataclasses import dataclass, field, replace
@@ -116,7 +117,14 @@ def _parse_int(text):
 
 
 def _parse_rate(text):
-    return Fraction(text)
+    # k and n are the rate's numerator and denominator, so a value Fraction
+    # would reduce (4/8, 0.5) is rejected rather than run at another size
+    rate = Fraction(text)
+    if text not in (f"{rate.numerator}/{rate.denominator}", str(rate)):
+        raise ValueError(
+            f"reads as k={rate.numerator}, n={rate.denominator}; write the "
+            f"rate as k/n in lowest terms")
+    return rate
 
 
 def _parse_float_list(text):

@@ -111,22 +111,22 @@ class ChannelSystem:
 
 
 def estimate_bler(system: ChannelSystem, test_ebn0_db: float, stop: StopRule,
-                  seed_key, chunk_blocks: int = DEFAULT_CHUNK_BLOCKS,
-                  workers: int = 1) -> BlerPoint:
+                  seed_key, workers: int = 1) -> BlerPoint:
     """Monte Carlo BLER with a deterministic chunked substream scheme.
 
     ``seed_key`` is a tuple of int/str substream keys; chunk i draws from
-    ``substream(*seed_key, i)``.  Chunk sizes depend only on the chunk index,
-    chunks are consumed in index order, and the count is truncated at the
-    exact block where the target error count is reached, so the result is
-    identical for any ``workers``.
+    ``substream(*seed_key, i)``.  Chunks hold ``DEFAULT_CHUNK_BLOCKS`` blocks
+    (the last one fewer, at ``max_blocks``), are consumed in index order, and
+    the count is truncated at the exact block where the target error count
+    is reached, so the result is identical for any ``workers``.
     """
     seed_key = tuple(seed_key)
     target = stop.target_block_errors
     max_blocks = stop.max_blocks
 
     def chunk_size(index):
-        return min(chunk_blocks, max_blocks - index * chunk_blocks)
+        return min(DEFAULT_CHUNK_BLOCKS,
+                   max_blocks - index * DEFAULT_CHUNK_BLOCKS)
 
     def run_chunk(index):
         rng = substream(*seed_key, index)
@@ -268,19 +268,28 @@ def _require_hamming_rate(config):
             f"got {config.rate}")
 
 
-def _pooled_curve(system_for_seed, seeds, label, test_grid, stop, workers=1):
+def _curve(system, label, train_ebn0_db, system_for, seeds, key, config,
+           workers) -> BlerCurve:
+    """One BLER curve over the config's test grid.
+
+    Each point pools the counts of one estimate per seed; the estimate for
+    ``seed`` at ``db`` runs ``system_for(seed, db)`` on the chunk substreams
+    ``(seed, "bler", key, db)``.  Curves that share ``key`` and a seed see
+    the same messages and draws.
+    """
+    stop = StopRule(config.target_block_errors, config.max_blocks)
     points = []
-    for db in test_grid:
+    for db in config.test_grid():
         errors = 0
         blocks = 0
         for seed in seeds:
             point = estimate_bler(
-                system_for_seed(seed, db), db, stop,
-                seed_key=(seed, "bler", label, _db_key(db)), workers=workers)
+                system_for(seed, db), db, stop,
+                seed_key=(seed, "bler", key, _db_key(db)), workers=workers)
             errors += point.block_errors
             blocks += point.blocks
         points.append(make_bler_point(db, errors, blocks))
-    return points
+    return BlerCurve(system, label, train_ebn0_db, len(seeds), points)
 
 
 def run_sweep(config: ExperimentConfig, workers: int = 1,
@@ -295,8 +304,6 @@ def run_sweep(config: ExperimentConfig, workers: int = 1,
     config.validate()
     _require_hamming_rate(config)
     say = progress if progress is not None else lambda text: None
-    stop = StopRule(config.target_block_errors, config.max_blocks)
-    grid = config.test_grid()
     curves = []
     models = {}
 
@@ -307,12 +314,11 @@ def run_sweep(config: ExperimentConfig, workers: int = 1,
             models[(train_db, seed)] = params
         label = f"ae-train{train_db:+g}dB"
         say(f"estimating BLER for {label}")
-        points = _pooled_curve(
+        curves.append(_curve(
+            "autoencoder", label, float(train_db),
             lambda seed, db: autoencoder_system(
                 models[(train_db, seed)], config.channel_spec(db)),
-            config.seeds, label, grid, stop, workers)
-        curves.append(BlerCurve("autoencoder", label, float(train_db),
-                                len(config.seeds), points))
+            config.seeds, label, config, workers))
 
     curves.extend(baseline_curves(config, workers=workers, progress=progress))
     return SweepResult(curves, models)
@@ -326,29 +332,19 @@ def baseline_curves(config: ExperimentConfig, workers: int = 1,
     config.validate()
     _require_hamming_rate(config)
     say = progress if progress is not None else lambda text: None
-    stop = StopRule(config.target_block_errors, config.max_blocks)
-    grid = config.test_grid()
-    base_seed = config.seeds[0]
     rate = float(config.rate)
     baselines = (
-        ("hamming_hard", "hamming-hard",
-         lambda db: hamming_hard_system(channels.ChannelSpec("awgn", db, rate))),
-        ("hamming_mld", "hamming-mld",
-         lambda db: hamming_mld_system(channels.ChannelSpec("awgn", db, rate))),
-        ("uncoded", "uncoded-bpsk",
-         lambda db: uncoded_system(channels.ChannelSpec("awgn", db, 1.0))),
+        ("hamming_hard", "hamming-hard", hamming_hard_system, rate),
+        ("hamming_mld", "hamming-mld", hamming_mld_system, rate),
+        ("uncoded", "uncoded-bpsk", uncoded_system, 1.0),
     )
     curves = []
-    for system_name, label, make in baselines:
+    for system_name, label, make, system_rate in baselines:
         say(f"estimating BLER for {label}")
-        points = []
-        for db in grid:
-            point = estimate_bler(
-                make(db), db, stop,
-                seed_key=(base_seed, "bler", "baseline-channel", _db_key(db)),
-                workers=workers)
-            points.append(point)
-        curves.append(BlerCurve(system_name, label, None, 1, points))
+        curves.append(_curve(
+            system_name, label, None,
+            lambda _, db: make(channels.ChannelSpec("awgn", db, system_rate)),
+            config.seeds[:1], "baseline-channel", config, workers))
     return curves
 
 
@@ -451,32 +447,19 @@ def robustness_probe(params: nn.ModelParams, config: ExperimentConfig,
     config.validate()
     if seed is None:
         seed = config.seeds[0]
-    stop = StopRule(config.target_block_errors, config.max_blocks)
-    grid = config.test_grid()
     rate = float(config.rate)
-
-    variants = [("awgn", "ae-awgn",
-                 lambda db: channels.ChannelSpec("awgn", db, rate))]
-    for rho in rhos:
-        variants.append(
-            (f"corr-rho{rho:g}", f"ae-corr-rho{rho:g}",
-             lambda db, rho=rho: channels.ChannelSpec(
-                 "correlated_awgn", db, rate, rho=rho)))
+    variants = [("ae-awgn", "awgn", 0.0)]
+    variants += [(f"ae-corr-rho{rho:g}", "correlated_awgn", rho) for rho in rhos]
     if include_rayleigh:
-        variants.append(("rayleigh", "ae-rayleigh",
-                         lambda db: channels.ChannelSpec("rayleigh", db, rate)))
+        variants.append(("ae-rayleigh", "rayleigh", 0.0))
 
     curves = []
-    for _, label, make_spec in variants:
-        points = []
-        for db in grid:
-            system = autoencoder_system(params, make_spec(db))
-            points.append(estimate_bler(
-                system, db, stop,
-                seed_key=(seed, "bler", "robust", _db_key(db)),
-                workers=workers))
-        curves.append(BlerCurve("autoencoder", label, float(train_ebn0_db), 1,
-                                points))
+    for label, kind, rho in variants:
+        curves.append(_curve(
+            "autoencoder", label, float(train_ebn0_db),
+            lambda _, db: autoencoder_system(
+                params, channels.ChannelSpec(kind, db, rate, rho=rho)),
+            (seed,), "robust", config, workers))
     return curves
 
 
@@ -508,18 +491,12 @@ _CLOSED_FORMS = {
 def baseline_to_csv(curves) -> str:
     """Sweep schema plus a closed_form_bler column (empty where no closed
     form exists, e.g. MLD)."""
-    lines = [SWEEP_CSV_HEADER + ",closed_form_bler"]
-    for curve in curves:
-        train = "" if curve.train_ebn0_db is None else repr(curve.train_ebn0_db)
-        closed = _CLOSED_FORMS.get(curve.system)
-        for p in curve.points:
-            reference = "" if closed is None else repr(closed(p.test_ebn0_db))
-            lines.append(",".join([
-                curve.system, curve.label, train, repr(p.test_ebn0_db),
-                str(p.blocks), str(p.block_errors), repr(p.bler),
-                repr(p.ci_low), repr(p.ci_high), str(curve.seed_count),
-                reference,
-            ]))
+    header, *rows = sweep_to_csv(curves).splitlines()
+    lines = [header + ",closed_form_bler"]
+    points = [(_CLOSED_FORMS.get(c.system), p) for c in curves for p in c.points]
+    for row, (closed, p) in zip(rows, points):
+        reference = "" if closed is None else repr(closed(p.test_ebn0_db))
+        lines.append(f"{row},{reference}")
     return "\n".join(lines) + "\n"
 
 
@@ -581,7 +558,3 @@ plt.savefig(out, dpi=150)
 print(f"wrote {out}")
 '''
 
-
-def write_plot_script(path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(PLOT_SCRIPT)

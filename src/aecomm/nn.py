@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import channels
 from .errors import ConfigurationError, DegenerateCodewordError, DivergenceError
 from .rng import substream
 
@@ -292,15 +291,6 @@ def loss_and_gradients_given(params, messages, noise, fade=None):
     return _loss_core(params, messages, noise, fade, want_grads=True)
 
 
-def loss_and_gradients(params, messages, spec: channels.ChannelSpec, rng):
-    """Sample the channel, then return (loss, ModelParams-shaped gradients)."""
-    messages = _check_batch(params, messages)
-    noise, fade = channels.draw_disturbance(
-        spec, (messages.size, params.channel_uses), rng
-    )
-    return _loss_core(params, messages, noise, fade, want_grads=True)
-
-
 def _loss_core(params, messages, noise, fade, want_grads):
     messages = _check_batch(params, messages)
     batch = messages.size
@@ -494,12 +484,13 @@ def load_checkpoint(path) -> ModelParams:
         blob = fh.read()
     if blob[:8] != CHECKPOINT_MAGIC:
         raise ConfigurationError(f"{path}: not a model checkpoint")
-    fields = np.frombuffer(blob, dtype="<u4", count=6, offset=8)
-    version, m, k, n, n_enc, n_dec = (int(v) for v in fields)
-    if version != CHECKPOINT_VERSION:
-        raise ConfigurationError(f"{path}: unsupported checkpoint version {version}")
     stacks = {"encoder": [], "decoder": []}
     try:
+        fields = np.frombuffer(blob, dtype="<u4", count=6, offset=8)
+        version, m, k, n, n_enc, n_dec = (int(v) for v in fields)
+        if version != CHECKPOINT_VERSION:
+            raise ConfigurationError(
+                f"{path}: unsupported checkpoint version {version}")
         shapes = np.frombuffer(blob, dtype="<u4", count=3 * (n_enc + n_dec),
                                offset=32)
         offset = 32 + shapes.nbytes
@@ -515,6 +506,8 @@ def load_checkpoint(path) -> ModelParams:
             offset += bias.nbytes
             target = "encoder" if i < n_enc else "decoder"
             stacks[target].append(DenseLayer(weight, bias, _ACT_NAME[act]))
+    except ConfigurationError:
+        raise
     except (ValueError, KeyError) as exc:
         raise ConfigurationError(f"{path}: corrupt checkpoint ({exc})") from exc
     if offset != len(blob):

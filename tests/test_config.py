@@ -141,6 +141,13 @@ class TestParsing:
         assert config.block_bits == 1
         assert config.channel_uses == 2
 
+    def test_rate_that_would_reduce_rejected(self):
+        # Fraction reduces 4/8 and 0.5 to 1/2, which would run k=1, n=2
+        for text in ("4/8", "0.5"):
+            with pytest.raises(ConfigFileError,
+                               match=r"line 2.*rate.*k=1, n=2"):
+                loads_config(f"[channel]\nrate = {text}\n")
+
     def test_float_lists(self):
         config = loads_config("[sweep]\ntrain_ebn0_db = -4, 0.0, 8\n")
         assert config.train_ebn0_db == (-4.0, 0.0, 8.0)

@@ -329,6 +329,65 @@ class TestBaselines:
             assert abs(point.bler - want) <= 4 * se, point
 
 
+class TestSubstreamKeys:
+    """Each curve point equals estimate_bler run directly on the substream
+    keys (seed, "bler", key, point) that the README documents, with counts
+    pooled over the curve's seeds."""
+
+    @staticmethod
+    def pooled(system_for, seeds, key, db, stop):
+        points = [harness.estimate_bler(system_for(seed), db, stop,
+                                        (seed, "bler", key, format(db, "g")))
+                  for seed in seeds]
+        return harness.make_bler_point(db, sum(p.block_errors for p in points),
+                                       sum(p.blocks for p in points))
+
+    @staticmethod
+    def small_config(**overrides):
+        return reduced_config(test_ebn0_start=2.0, test_ebn0_stop=6.0,
+                              target_block_errors=20, max_blocks=5_000,
+                              **overrides)
+
+    def test_sweep_pools_seeds_and_baselines_use_first(self):
+        config = self.small_config(steps=60, seeds=(3, 1))
+        stop = harness.StopRule(20, 5_000)
+        result = harness.run_sweep(config)
+        ae, *baselines = result.curves
+        assert ae.seed_count == 2
+        for p in ae.points:
+            db = p.test_ebn0_db
+            assert p == self.pooled(
+                lambda seed: harness.autoencoder_system(
+                    result.models[(7.0, seed)], config.channel_spec(db)),
+                (3, 1), "ae-train+7dB", db, stop)
+        makers = {"hamming_hard": (harness.hamming_hard_system, 4 / 7),
+                  "hamming_mld": (harness.hamming_mld_system, 4 / 7),
+                  "uncoded": (harness.uncoded_system, 1.0)}
+        assert [c.system for c in baselines] == list(makers)
+        for curve in baselines:
+            make, rate = makers[curve.system]
+            assert curve.seed_count == 1
+            for p in curve.points:
+                db = p.test_ebn0_db
+                assert p == self.pooled(
+                    lambda _: make(ChannelSpec("awgn", db, rate)),
+                    (3,), "baseline-channel", db, stop)
+
+    def test_robustness_points(self, quick_model):
+        config = self.small_config()
+        stop = harness.StopRule(20, 5_000)
+        _, corr = harness.robustness_probe(quick_model, config, 7.0, seed=3,
+                                           rhos=(0.5,), include_rayleigh=False)
+        assert corr.label == "ae-corr-rho0.5"
+        for p in corr.points:
+            db = p.test_ebn0_db
+            assert p == self.pooled(
+                lambda _: harness.autoencoder_system(
+                    quick_model,
+                    ChannelSpec("correlated_awgn", db, 4 / 7, rho=0.5)),
+                (3,), "robust", db, stop)
+
+
 class TestRobustness:
     def test_rho_zero_reproduces_awgn_exactly(self, quick_model, quick_config):
         config = reduced_config(
@@ -462,9 +521,7 @@ class TestEmitters:
         assert lines[0] == "decoder_hidden,train_loss,test_loss,parameter_count"
         assert lines[1] == "4,0.5,0.6,123"
 
-    def test_plot_script_mentions_no_network(self, tmp_path):
-        path = tmp_path / "plot.py"
-        harness.write_plot_script(path)
-        text = path.read_text()
+    def test_plot_script_mentions_no_network(self):
+        text = harness.PLOT_SCRIPT
         assert "matplotlib" in text
         assert "semilogy" in text

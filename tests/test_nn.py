@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from aecomm import channels, nn
+from aecomm import nn
 from aecomm.errors import (
     ConfigurationError,
     DegenerateCodewordError,
@@ -196,15 +196,6 @@ class TestLossAndGradients:
         with pytest.raises(DivergenceError):
             nn.loss_given_disturbance(fitted, messages, noise)
 
-    def test_sampled_channel_path(self, quick_model):
-        spec = channels.ChannelSpec("awgn", 7.0, 4 / 7)
-        messages = np.arange(16)
-        loss, grads = nn.loss_and_gradients(
-            quick_model, messages, spec, substream(4, "loss")
-        )
-        assert np.isfinite(loss)
-        assert grads.all_finite()
-
     def test_bad_batch_rejected(self, quick_model):
         with pytest.raises(ValueError):
             nn.loss_given_disturbance(quick_model, np.array([16]), np.zeros((1, 7)))
@@ -311,9 +302,12 @@ class TestCheckpoint:
     def test_truncated_rejected(self, quick_model, tmp_path):
         path = tmp_path / "model.ckpt"
         nn.save_checkpoint(quick_model, path)
-        path.write_bytes(path.read_bytes()[:-16])
-        with pytest.raises(ConfigurationError):
-            nn.load_checkpoint(path)
+        blob = path.read_bytes()
+        # a short body, and the magic with less than the 32-byte header
+        for kept in (blob[:-16], blob[:20]):
+            path.write_bytes(kept)
+            with pytest.raises(ConfigurationError, match=r"model\.ckpt"):
+                nn.load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, quick_model, tmp_path):
         path = tmp_path / "model.ckpt"
