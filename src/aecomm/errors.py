@@ -15,15 +15,19 @@ class ConfigFileError(ConfigurationError):
         super().__init__(message)
 
 
-class DegenerateCodewordError(ArithmeticError):
-    """Encoder produced a (near-)zero vector that cannot be energy-normalized."""
-
-
-class DivergenceError(ArithmeticError):
-    """Training or loss evaluation produced a non-finite value."""
+class _StepError(ArithmeticError):
+    """A numerical failure that can name the training step it happened at."""
 
     def __init__(self, message, step=None):
         self.step = step
         if step is not None:
             message = f"{message} (at step {step})"
         super().__init__(message)
+
+
+class DegenerateCodewordError(_StepError):
+    """Encoder produced a (near-)zero vector that cannot be energy-normalized."""
+
+
+class DivergenceError(_StepError):
+    """Training or loss evaluation produced a non-finite value."""

@@ -18,7 +18,8 @@ from scipy.special import ndtri
 
 from . import channels, codecs, nn, shiftmetrics
 from .config import ExperimentConfig
-from .errors import ConfigurationError, DivergenceError
+from .errors import (ConfigurationError, DegenerateCodewordError,
+                     DivergenceError)
 from .rng import substream
 
 DEFAULT_CHUNK_BLOCKS = 20_000
@@ -242,8 +243,8 @@ def train_autoencoder(config: ExperimentConfig, train_ebn0_db: float,
         try:
             loss, grads = nn.loss_and_gradients_given(params, messages, noise,
                                                       fade)
-        except DivergenceError as exc:
-            raise DivergenceError(str(exc), step=step) from exc
+        except (DivergenceError, DegenerateCodewordError) as exc:
+            raise type(exc)(str(exc), step=step) from exc
         params, state = nn.adam_step(params, grads, state)
         if not params.all_finite():
             raise DivergenceError("non-finite parameters after update",
@@ -419,15 +420,15 @@ def width_sweep(config: ExperimentConfig, widths, train_ebn0_db: float = 7.0,
             try:
                 _, grads = nn.loss_and_gradients_given(
                     params, train_msgs[idx], train_noise[idx], fade)
-            except DivergenceError as exc:
-                raise DivergenceError(f"width {width}: {exc}", step=step) from exc
+            except (DivergenceError, DegenerateCodewordError) as exc:
+                raise type(exc)(f"width {width}: {exc}", step=step) from exc
             params, state = nn.adam_step(params, grads, state)
         train_loss = nn.loss_given_disturbance(params, train_msgs, train_noise,
                                                train_fade)
         test_loss = nn.loss_given_disturbance(params, test_msgs, test_noise,
                                               test_fade)
-        count = sum(a.size for a in params.arrays())
-        rows.append(WidthSweepRow(int(width), train_loss, test_loss, count))
+        rows.append(WidthSweepRow(int(width), train_loss, test_loss,
+                                  params.flat.size))
     return rows
 
 
@@ -530,7 +531,11 @@ import csv
 import sys
 from collections import OrderedDict
 
-import matplotlib.pyplot as plt
+try:
+    import matplotlib.pyplot as plt
+except ImportError:
+    sys.exit("plot_bler.py needs matplotlib, the optional 'plots' extra: "
+             "pip install -e '.[plots]'")
 
 path = sys.argv[1] if len(sys.argv) > 1 else "sweep.csv"
 curves = OrderedDict()

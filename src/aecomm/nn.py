@@ -28,16 +28,28 @@ class DenseLayer:
     bias: np.ndarray  # (fan_out,)
     activation: str
 
-    def copy(self) -> "DenseLayer":
-        return DenseLayer(self.weight.copy(), self.bias.copy(), self.activation)
+
+def _layers_over(flat, specs):
+    """DenseLayers whose weight (row-major), then bias, are consecutive views
+    into ``flat``; ``specs`` lists (fan_in, fan_out, activation) per layer."""
+    layers, offset = [], 0
+    for fan_in, fan_out, activation in specs:
+        end = offset + fan_in * fan_out
+        layers.append(DenseLayer(flat[offset:end].reshape(fan_in, fan_out),
+                                 flat[end:end + fan_out], activation))
+        offset = end + fan_out
+    return layers
 
 
 @dataclass
 class ModelParams:
     """Trainable state of the encoder/decoder pair.
 
-    Treated as an immutable snapshot once training ends; update steps return
-    fresh instances.
+    All weights and biases live in one float64 vector ``flat`` in checkpoint
+    order (encoder first; per layer the weight row-major, then the bias), and
+    every layer array is a view into it; ``validate()`` packs layers given
+    without it, or swapped in later.  Treated as an immutable snapshot once
+    training ends; update steps return fresh instances.
     """
 
     encoder: list = field(default_factory=list)
@@ -45,8 +57,19 @@ class ModelParams:
     message_count: int = 16
     block_bits: int = 4
     channel_uses: int = 7
+    flat: np.ndarray = field(default=None, repr=False)
+
+    def with_flat(self, flat) -> "ModelParams":
+        """A twin of this model (same layer shapes) over the vector ``flat``."""
+        layers = _layers_over(flat, [(*l.weight.shape, l.activation)
+                                     for l in self.encoder + self.decoder])
+        n_enc = len(self.encoder)
+        return ModelParams(layers[:n_enc], layers[n_enc:], self.message_count,
+                           self.block_bits, self.channel_uses, flat)
 
     def validate(self):
+        """Check the layer chains; unless every layer array is already a view
+        into ``flat``, copy them all into a fresh ``flat`` and rebind them."""
         m, n = self.message_count, self.channel_uses
         if m != 2**self.block_bits:
             raise ConfigurationError(
@@ -79,16 +102,16 @@ class ModelParams:
                 raise ConfigurationError(
                     f"{name} output width {width} != required {w_out}"
                 )
+        if self.flat is None or not all(
+                np.may_share_memory(a, self.flat) for a in self.arrays()):
+            packed = self.with_flat(np.concatenate(
+                [a.ravel() for a in self.arrays()], dtype=np.float64))
+            self.encoder, self.decoder = packed.encoder, packed.decoder
+            self.flat = packed.flat
         return self
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            [l.copy() for l in self.encoder],
-            [l.copy() for l in self.decoder],
-            self.message_count,
-            self.block_bits,
-            self.channel_uses,
-        )
+        return self.with_flat(self.flat.copy())
 
     def arrays(self):
         """All weight/bias arrays in a fixed order (encoder first)."""
@@ -99,7 +122,7 @@ class ModelParams:
         return out
 
     def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(a)) for a in self.arrays())
+        return bool(np.isfinite(self.flat).all())
 
 
 @dataclass(frozen=True)
@@ -129,16 +152,6 @@ def init_params(layout: NetworkLayout, seed: int) -> ModelParams:
     """
     m, n = layout.message_count, layout.channel_uses
     k = int(round(np.log2(m)))
-    if 2**k != m:
-        raise ConfigurationError(f"message_count {m} must be a power of two")
-    if layout.encoder_sizes[0] != m or layout.encoder_sizes[-1] != n:
-        raise ConfigurationError(
-            f"encoder chain {layout.encoder_sizes} must run from {m} to {n}"
-        )
-    if layout.decoder_sizes[0] != n or layout.decoder_sizes[-1] != m:
-        raise ConfigurationError(
-            f"decoder chain {layout.decoder_sizes} must run from {n} to {m}"
-        )
     if any(s < 1 for s in layout.encoder_sizes + layout.decoder_sizes):
         raise ConfigurationError("layer sizes must be >= 1")
 
@@ -163,15 +176,7 @@ def init_params(layout: NetworkLayout, seed: int) -> ModelParams:
 
 
 def zeros_like_params(params: ModelParams) -> ModelParams:
-    return ModelParams(
-        [DenseLayer(np.zeros_like(l.weight), np.zeros_like(l.bias), l.activation)
-         for l in params.encoder],
-        [DenseLayer(np.zeros_like(l.weight), np.zeros_like(l.bias), l.activation)
-         for l in params.decoder],
-        params.message_count,
-        params.block_bits,
-        params.channel_uses,
-    )
+    return params.with_flat(np.zeros_like(params.flat))
 
 
 def _forward_stack(layers, inputs):
@@ -186,17 +191,21 @@ def _forward_stack(layers, inputs):
     return a, cache
 
 
-def _backward_stack(layers, cache, grad_out):
-    """Backprop through a dense stack; returns (grad_in, [(dW, db), ...])."""
-    grads = [None] * len(layers)
+def _backward_stack(layers, cache, grad_out, grad_layers, need_grad_in=True):
+    """Backprop through a dense stack, writing each layer's (dW, db) into
+    the arrays of ``grad_layers``; returns the input gradient, or None when
+    ``need_grad_in`` is false."""
     g = grad_out
     for i in range(len(layers) - 1, -1, -1):
         a_in, pre = cache[i]
         if layers[i].activation == "relu":
             g = g * (pre > 0.0)
-        grads[i] = (a_in.T @ g, g.sum(axis=0))
+        np.matmul(a_in.T, g, out=grad_layers[i].weight)
+        g.sum(axis=0, out=grad_layers[i].bias)
+        if i == 0 and not need_grad_in:
+            return None
         g = g @ layers[i].weight.T
-    return g, grads
+    return g
 
 
 def _normalize_energy(z, n):
@@ -287,7 +296,8 @@ def loss_given_disturbance(params, messages, noise, fade=None) -> float:
 
 
 def loss_and_gradients_given(params, messages, noise, fade=None):
-    """Loss and exact gradients for a fixed (noise, fade) realization."""
+    """Loss and exact gradients for a fixed (noise, fade) realization; the
+    gradients are a ModelParams twin over a fresh vector."""
     return _loss_core(params, messages, noise, fade, want_grads=True)
 
 
@@ -314,21 +324,15 @@ def _loss_core(params, messages, noise, fade, want_grads):
     if not want_grads:
         return loss, None
 
+    grads = params.with_flat(np.empty_like(params.flat))
     dlogits = (probs - onehot) / batch
-    dy, dec_grads = _backward_stack(params.decoder, dec_cache, dlogits)
+    dy = _backward_stack(params.decoder, dec_cache, dlogits, grads.decoder)
     dx = dy if fade is None else fade[..., None] * dy
     # Energy normalization x = sqrt(n) z / ||z||: project out the radial part.
     radial = (z * dx).sum(axis=-1, keepdims=True)
     dz = np.sqrt(n) / norms * (dx - z * radial / norms**2)
-    _, enc_grads = _backward_stack(params.encoder, enc_cache, dz)
-
-    grads = zeros_like_params(params)
-    for layer, (dw, db) in zip(grads.encoder, enc_grads):
-        layer.weight[...] = dw
-        layer.bias[...] = db
-    for layer, (dw, db) in zip(grads.decoder, dec_grads):
-        layer.weight[...] = dw
-        layer.bias[...] = db
+    _backward_stack(params.encoder, enc_cache, dz, grads.encoder,
+                    need_grad_in=False)
     return loss, grads
 
 
@@ -341,17 +345,14 @@ def finite_difference_gradients(params, messages, noise, fade=None,
     """
     work = params.copy()
     grads = zeros_like_params(params)
-    for p_arr, g_arr in zip(work.arrays(), grads.arrays()):
-        flat_p = p_arr.reshape(-1)
-        flat_g = g_arr.reshape(-1)
-        for i in range(flat_p.size):
-            saved = flat_p[i]
-            flat_p[i] = saved + step
-            up = loss_given_disturbance(work, messages, noise, fade)
-            flat_p[i] = saved - step
-            down = loss_given_disturbance(work, messages, noise, fade)
-            flat_p[i] = saved
-            flat_g[i] = (up - down) / (2.0 * step)
+    for i in range(work.flat.size):
+        saved = work.flat[i]
+        work.flat[i] = saved + step
+        up = loss_given_disturbance(work, messages, noise, fade)
+        work.flat[i] = saved - step
+        down = loss_given_disturbance(work, messages, noise, fade)
+        work.flat[i] = saved
+        grads.flat[i] = (up - down) / (2.0 * step)
     return grads
 
 
@@ -366,8 +367,7 @@ def gradient_check_case(params, messages, noise, fade=None,
     """
     _, analytic = loss_and_gradients_given(params, messages, noise, fade)
     numeric = finite_difference_gradients(params, messages, noise, fade, step)
-    a = np.concatenate([arr.ravel() for arr in analytic.arrays()])
-    b = np.concatenate([arr.ravel() for arr in numeric.arrays()])
+    a, b = analytic.flat, numeric.flat
     gmax = max(np.abs(a).max(), np.abs(b).max())
     scale = np.maximum(np.maximum(np.abs(a), np.abs(b)),
                        max(1e-3 * gmax, 1e-12))
@@ -400,10 +400,10 @@ def gradient_check(seed: int = 0, cases: int = 10, batch_size: int = 8,
 
 @dataclass
 class AdamState:
-    """Adam accumulators; shapes mirror the parameters they update."""
+    """Adam accumulators, laid out like ``ModelParams.flat``."""
 
-    first_moment: ModelParams
-    second_moment: ModelParams
+    first_moment: np.ndarray
+    second_moment: np.ndarray
     step: int = 0
     learning_rate: float = 1e-3
     beta1: float = 0.9
@@ -417,35 +417,25 @@ class AdamState:
                             ("beta2", beta2), ("epsilon", epsilon)):
             if not value > 0.0:
                 raise ConfigurationError(f"{name} must be positive, got {value}")
-        return cls(zeros_like_params(params), zeros_like_params(params), 0,
+        return cls(np.zeros_like(params.flat), np.zeros_like(params.flat), 0,
                    learning_rate, beta1, beta2, epsilon)
 
 
 def adam_step(params: ModelParams, grads: ModelParams, state: AdamState):
-    """One bias-corrected Adam update; returns (new_params, new_state)."""
-    p_arrays = params.arrays()
-    g_arrays = grads.arrays()
-    if len(p_arrays) != len(g_arrays) or any(
-        p.shape != g.shape for p, g in zip(p_arrays, g_arrays)
-    ):
+    """One bias-corrected Adam update; returns (new_params, new_state) and
+    leaves its inputs untouched."""
+    if [a.shape for a in params.arrays()] != [a.shape for a in grads.arrays()]:
         raise ConfigurationError("gradient shapes do not match parameter shapes")
-
-    new_params = params.copy()
-    new_m = state.first_moment.copy()
-    new_v = state.second_moment.copy()
     t = state.step + 1
     b1, b2 = state.beta1, state.beta2
     lr, eps = state.learning_rate, state.epsilon
-    for p, g, m, v in zip(
-        new_params.arrays(), g_arrays, new_m.arrays(), new_v.arrays()
-    ):
-        m[...] = b1 * m + (1.0 - b1) * g
-        v[...] = b2 * v + (1.0 - b2) * g**2
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
-    new_state = AdamState(new_m, new_v, t, lr, b1, b2, eps)
-    return new_params, new_state
+    g = grads.flat
+    m = b1 * state.first_moment + (1.0 - b1) * g
+    v = b2 * state.second_moment + (1.0 - b2) * g**2
+    m_hat = m / (1.0 - b1**t)
+    v_hat = v / (1.0 - b2**t)
+    new_flat = params.flat - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return params.with_flat(new_flat), AdamState(m, v, t, lr, b1, b2, eps)
 
 
 # -- checkpoint file format ---------------------------------------------------
@@ -453,8 +443,8 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState):
 #   magic "AECOMMNN" | uint32 version=1 | uint32 M, k, n
 #   uint32 encoder layer count | uint32 decoder layer count
 #   per layer: uint32 fan_in, fan_out, activation (0=linear, 1=relu)
-#   then per layer in order (encoder first): weight row-major, bias,
-#   as little-endian float64.  Round-trips bit-exactly.
+#   then ModelParams.flat: per layer in order (encoder first), weight
+#   row-major, bias, as little-endian float64.  Round-trips bit-exactly.
 
 CHECKPOINT_MAGIC = b"AECOMMNN"
 CHECKPOINT_VERSION = 1
@@ -474,9 +464,8 @@ def save_checkpoint(params: ModelParams, path):
     for layer in params.encoder + params.decoder:
         u32(layer.weight.shape[0], layer.weight.shape[1],
             _ACT_CODE[layer.activation])
-    body = [np.ascontiguousarray(a, dtype="<f8").tobytes() for a in params.arrays()]
     with open(path, "wb") as fh:
-        fh.write(b"".join(head + body))
+        fh.write(b"".join(head) + params.flat.astype("<f8").tobytes())
 
 
 def load_checkpoint(path) -> ModelParams:
@@ -484,7 +473,6 @@ def load_checkpoint(path) -> ModelParams:
         blob = fh.read()
     if blob[:8] != CHECKPOINT_MAGIC:
         raise ConfigurationError(f"{path}: not a model checkpoint")
-    stacks = {"encoder": [], "decoder": []}
     try:
         fields = np.frombuffer(blob, dtype="<u4", count=6, offset=8)
         version, m, k, n, n_enc, n_dec = (int(v) for v in fields)
@@ -492,25 +480,19 @@ def load_checkpoint(path) -> ModelParams:
             raise ConfigurationError(
                 f"{path}: unsupported checkpoint version {version}")
         shapes = np.frombuffer(blob, dtype="<u4", count=3 * (n_enc + n_dec),
-                               offset=32)
-        offset = 32 + shapes.nbytes
-        for i in range(n_enc + n_dec):
-            fan_in, fan_out, act = (int(v) for v in shapes[3 * i: 3 * i + 3])
-            weight = np.frombuffer(
-                blob, dtype="<f8", count=fan_in * fan_out, offset=offset
-            ).reshape(fan_in, fan_out).copy()
-            offset += weight.nbytes
-            bias = np.frombuffer(
-                blob, dtype="<f8", count=fan_out, offset=offset
-            ).copy()
-            offset += bias.nbytes
-            target = "encoder" if i < n_enc else "decoder"
-            stacks[target].append(DenseLayer(weight, bias, _ACT_NAME[act]))
+                               offset=32).reshape(-1, 3).tolist()
+        specs = [(fan_in, fan_out, _ACT_NAME[act])
+                 for fan_in, fan_out, act in shapes]
+        offset = 32 + 12 * len(specs)
+        size = sum(fan_in * fan_out + fan_out for fan_in, fan_out, _ in shapes)
+        flat = np.frombuffer(blob, dtype="<f8", count=size,
+                             offset=offset).astype(np.float64)
     except ConfigurationError:
         raise
     except (ValueError, KeyError) as exc:
         raise ConfigurationError(f"{path}: corrupt checkpoint ({exc})") from exc
-    if offset != len(blob):
+    if offset + flat.nbytes != len(blob):
         raise ConfigurationError(f"{path}: trailing bytes in checkpoint")
-    params = ModelParams(stacks["encoder"], stacks["decoder"], m, k, n)
+    layers = _layers_over(flat, specs)
+    params = ModelParams(layers[:n_enc], layers[n_enc:], m, k, n, flat)
     return params.validate()

@@ -287,3 +287,19 @@ class TestEntryPoints:
             capture_output=True, text=True, cwd=out)
         assert proc.returncode == 0, proc.stderr
         assert (out / "sweep.png").exists()
+
+    def test_plot_script_without_matplotlib_names_the_extra(self, tmp_path):
+        # a shadow package makes the import fail whatever is installed
+        shadow = tmp_path / "shadow" / "matplotlib"
+        shadow.mkdir(parents=True)
+        (shadow / "__init__.py").write_text(
+            "raise ImportError('matplotlib hidden by the test')\n")
+        (tmp_path / "plot_bler.py").write_text(harness.PLOT_SCRIPT)
+        env = dict(os.environ, PYTHONPATH=str(shadow.parent))
+        proc = subprocess.run(
+            [sys.executable, "plot_bler.py", "sweep.csv"],
+            capture_output=True, text=True, cwd=tmp_path, env=env)
+        assert proc.returncode != 0
+        assert proc.stderr.splitlines() == [
+            "plot_bler.py needs matplotlib, the optional 'plots' extra: "
+            "pip install -e '.[plots]'"]

@@ -4,7 +4,7 @@ from scipy.stats import binomtest
 
 from aecomm import ExperimentConfig, codecs, harness, nn
 from aecomm.channels import ChannelSpec
-from aecomm.errors import ConfigurationError
+from aecomm.errors import ConfigurationError, DegenerateCodewordError
 from aecomm.rng import substream
 
 
@@ -204,7 +204,28 @@ class TestSystems:
         assert mld.bler <= hard.bler
 
 
+def degenerate_at_call(monkeypatch, bad_call):
+    """Make the bad_call-th gradient evaluation hit a degenerate codeword."""
+    real = nn.loss_and_gradients_given
+    calls = []
+
+    def flaky(*args):
+        calls.append(1)
+        if len(calls) == bad_call:
+            raise DegenerateCodewordError("encoder output has zero norm")
+        return real(*args)
+
+    monkeypatch.setattr(nn, "loss_and_gradients_given", flaky)
+
+
 class TestTraining:
+    def test_degenerate_codeword_names_step(self, monkeypatch):
+        degenerate_at_call(monkeypatch, 3)
+        with pytest.raises(DegenerateCodewordError,
+                           match=r"\(at step 3\)$") as info:
+            harness.train_autoencoder(reduced_config(steps=10), 7.0, 0)
+        assert info.value.step == 3
+
     def test_zero_steps_returns_init(self):
         config = reduced_config(steps=0)
         params, history = harness.train_autoencoder(config, 7.0, 3)
@@ -468,6 +489,14 @@ class TestWidthSweep:
                                    test_set_size=2_000)
         narrow, wide = rows
         assert wide.train_loss <= narrow.train_loss * 1.05
+
+    def test_degenerate_codeword_names_width_and_step(self, monkeypatch):
+        degenerate_at_call(monkeypatch, 3)
+        with pytest.raises(DegenerateCodewordError,
+                           match=r"^width 8: .*\(at step 3\)$") as info:
+            harness.width_sweep(reduced_config(steps=10), [8],
+                                train_set_size=64, test_set_size=100)
+        assert info.value.step == 3
 
     def test_invalid_width_rejected(self):
         with pytest.raises(ConfigurationError):

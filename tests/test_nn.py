@@ -322,3 +322,94 @@ class TestCheckpoint:
         loaded = nn.load_checkpoint(path)
         y = substream(5, "ckpt").standard_normal((128, 7))
         assert np.array_equal(nn.predict(quick_model, y), nn.predict(loaded, y))
+
+
+def reference_adam(p_arrays, g_arrays, m_arrays, v_arrays, t,
+                   lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
+    """Adam written per array, the way the update reads on paper."""
+    new_p, new_m, new_v = [], [], []
+    for p, g, m, v in zip(p_arrays, g_arrays, m_arrays, v_arrays):
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g**2
+        m_hat = m / (1.0 - b1**t)
+        v_hat = v / (1.0 - b2**t)
+        new_p.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
+        new_m.append(m)
+        new_v.append(v)
+    return new_p, new_m, new_v
+
+
+def assert_packed(params):
+    """Every layer array is the next slice of params.flat."""
+    assert all(np.shares_memory(a, params.flat) for a in params.arrays())
+    assert np.array_equal(
+        np.concatenate([a.ravel() for a in params.arrays()]), params.flat)
+
+
+class TestFlatBuffer:
+    def test_layer_arrays_are_views_into_flat(self, quick_model, tmp_path):
+        params = nn.init_params(nn.default_layout(decoder_hidden=12), 4)
+        messages, noise = small_batch(params)
+        _, grads = nn.loss_and_gradients_given(params, messages, noise)
+        state = nn.AdamState.for_params(params)
+        updated, _ = nn.adam_step(params, grads, state)
+        nn.save_checkpoint(quick_model, tmp_path / "model.ckpt")
+        loaded = nn.load_checkpoint(tmp_path / "model.ckpt")
+        for p in (params, params.copy(), grads, updated, loaded,
+                  nn.zeros_like_params(params)):
+            assert_packed(p)
+        assert not np.shares_memory(params.copy().flat, params.flat)
+
+    def test_validate_packs_swapped_in_layers(self, quick_model, tmp_path):
+        fitted = fitted_decoder(quick_model)
+        assert_packed(fitted)
+        path = tmp_path / "fitted.ckpt"
+        nn.save_checkpoint(fitted, path)
+        loaded = nn.load_checkpoint(path)
+        assert np.array_equal(loaded.decoder[1].weight, np.eye(16))
+
+    def test_flat_bytes_are_checkpoint_body(self, quick_model, tmp_path):
+        path = tmp_path / "model.ckpt"
+        nn.save_checkpoint(quick_model, path)
+        layers = len(quick_model.encoder) + len(quick_model.decoder)
+        header = 32 + 12 * layers
+        body = quick_model.flat.astype("<f8").tobytes()
+        assert path.read_bytes()[header:] == body
+
+    def test_gradient_buffers_not_aliased(self):
+        params = nn.init_params(nn.default_layout(), 13)
+        m1, n1 = small_batch(params, key=1)
+        m2, n2 = small_batch(params, key=2)
+        _, first = nn.loss_and_gradients_given(params, m1, n1)
+        kept = first.flat.copy()
+        _, second = nn.loss_and_gradients_given(params, m2, n2)
+        assert not np.shares_memory(first.flat, second.flat)
+        assert not np.shares_memory(first.flat, params.flat)
+        assert np.array_equal(first.flat, kept)
+        assert not np.array_equal(first.flat, second.flat)
+
+    def test_adam_matches_per_array_reference(self):
+        params = nn.init_params(nn.default_layout(), 14)
+        state = nn.AdamState.for_params(params)
+        ref_p = [a.copy() for a in params.arrays()]
+        ref_m = [np.zeros_like(a) for a in ref_p]
+        ref_v = [np.zeros_like(a) for a in ref_p]
+        for t in (1, 2, 3):
+            messages, noise = small_batch(params, size=8, key=t)
+            _, grads = nn.loss_and_gradients_given(params, messages, noise)
+            inputs = [params.flat.copy(), grads.flat.copy(),
+                      state.first_moment.copy(), state.second_moment.copy()]
+            new_params, new_state = nn.adam_step(params, grads, state)
+            untouched = [params.flat, grads.flat, state.first_moment,
+                         state.second_moment]
+            for before, after in zip(inputs, untouched):
+                assert np.array_equal(before, after)
+            ref_p, ref_m, ref_v = reference_adam(
+                ref_p, grads.arrays(), ref_m, ref_v, t)
+            for got, want in zip(new_params.arrays(), ref_p):
+                assert np.array_equal(got, want)
+            assert np.array_equal(new_state.first_moment,
+                                  np.concatenate([a.ravel() for a in ref_m]))
+            assert np.array_equal(new_state.second_moment,
+                                  np.concatenate([a.ravel() for a in ref_v]))
+            params, state = new_params, new_state
