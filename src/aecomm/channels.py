@@ -65,9 +65,6 @@ class ChannelSpec:
     def sigma2(self) -> float:
         return noise_variance(self.ebn0_db, self.rate)
 
-    def with_ebn0(self, ebn0_db: float) -> "ChannelSpec":
-        return ChannelSpec(self.kind, ebn0_db, self.rate, self.rho)
-
 
 def correlation_factor(rho: float, n: int, sigma2: float) -> np.ndarray:
     """Lower-triangular factor L with L L^T = sigma^2 * T(rho), T = [rho^|i-j|]."""

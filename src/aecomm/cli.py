@@ -259,7 +259,6 @@ def _resolve_config(args) -> ExperimentConfig:
         config = load_config(args.config)
     if args.seed is not None:
         config = replace(config, seeds=(args.seed,))
-        config.validate()
     return config
 
 

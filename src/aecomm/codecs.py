@@ -112,11 +112,6 @@ def hamming_mld_message(y) -> np.ndarray:
     return dist.argmin(axis=-1)
 
 
-def hamming_mld_decode(y) -> np.ndarray:
-    """Minimum-Euclidean-distance decoding, returned as the 4 info bits."""
-    return message_to_bits(hamming_mld_message(y))
-
-
 def q_function(x):
     """Standard normal upper-tail probability."""
     x = np.asarray(x, dtype=float)

@@ -13,7 +13,7 @@ comma-separated; the code rate is written as k/n in lowest terms (``4/7``),
 which fixes block_bits = k and channel_uses = n.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -47,6 +47,9 @@ class ExperimentConfig:
     # [seeds]
     seeds: tuple = (0, 1, 2)
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> "ExperimentConfig":
         def require(cond, key, text):
             if not cond:
@@ -67,12 +70,18 @@ class ExperimentConfig:
         require(len(self.train_ebn0_db) > 0, "train_ebn0_db", "must be non-empty")
         require(all(np.isfinite(v) for v in self.train_ebn0_db), "train_ebn0_db",
                 "entries must be finite")
+        require(len(set(self.train_ebn0_db)) == len(self.train_ebn0_db),
+                "train_ebn0_db", "entries must not repeat")
         require(self.test_ebn0_step > 0, "test_ebn0_step", "must be positive")
         require(self.test_ebn0_start <= self.test_ebn0_stop, "test_ebn0_start",
                 "must not exceed test_ebn0_stop")
         require(self.target_block_errors >= 1, "target_block_errors", "must be >= 1")
         require(self.max_blocks >= 1, "max_blocks", "must be >= 1")
         require(len(self.seeds) > 0, "seeds", "must be non-empty")
+        # a repeated seed repeats the same draws, so pooling it would narrow
+        # the interval without new evidence
+        require(len(set(self.seeds)) == len(self.seeds), "seeds",
+                "entries must not repeat")
         return self
 
     # -- derived quantities ---------------------------------------------------
@@ -98,9 +107,6 @@ class ExperimentConfig:
 
     def channel_spec(self, ebn0_db: float) -> ChannelSpec:
         return ChannelSpec(self.channel_kind, ebn0_db, float(self.rate), self.rho)
-
-    def with_seed(self, seed: int) -> "ExperimentConfig":
-        return replace(self, seeds=(int(seed),))
 
 
 # -- file format --------------------------------------------------------------
@@ -205,8 +211,7 @@ def loads_config(text: str) -> ExperimentConfig:
             raise ConfigFileError(f"duplicate key {key!r}", line=lineno)
         values[attr] = parsed
 
-    config = ExperimentConfig(**values)
-    return config.validate()
+    return ExperimentConfig(**values)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -219,39 +219,53 @@ class TrainingHistory:
         self.losses.append(float(loss))
 
 
+def _train(config: ExperimentConfig, layout, seed: int, next_batch,
+           where: str = ""):
+    """Adam from ``init_params(layout, seed)`` for ``config.steps`` steps on
+    the (messages, noise, fade) batches ``next_batch()`` returns.  Returns
+    (ModelParams, TrainingHistory) with the loss recorded every
+    ``loss_log_interval`` steps; numerical failures name the step, after the
+    ``where`` prefix."""
+    params = nn.init_params(layout, seed)
+    state = nn.AdamState.for_params(
+        params, config.learning_rate, config.beta1, config.beta2,
+        config.epsilon)
+    history = TrainingHistory()
+    for step in range(1, config.steps + 1):
+        messages, noise, fade = next_batch()
+        try:
+            loss, grads = nn.loss_and_gradients_given(params, messages, noise,
+                                                      fade)
+        except (DivergenceError, DegenerateCodewordError) as exc:
+            raise type(exc)(f"{where}{exc}", step=step) from exc
+        params, state = nn.adam_step(params, grads, state)
+        if not params.all_finite():
+            raise DivergenceError(f"{where}non-finite parameters after update",
+                                  step=step)
+        if step % config.loss_log_interval == 0 or step == config.steps:
+            history.record(step, loss)
+    return params, history
+
+
 def train_autoencoder(config: ExperimentConfig, train_ebn0_db: float,
                       seed: int):
     """Train one autoencoder at a fixed Eb/N0; deterministic per (config,
     seed).  Returns (ModelParams, TrainingHistory) with the loss recorded
     every ``loss_log_interval`` steps."""
-    config.validate()
     layout = nn.default_layout(config.message_count, config.channel_uses,
                                config.decoder_hidden)
-    params = nn.init_params(layout, seed)
-    state = nn.AdamState.for_params(
-        params, config.learning_rate, config.beta1, config.beta2,
-        config.epsilon)
     spec = config.channel_spec(train_ebn0_db)
     db = _db_key(train_ebn0_db)
     msg_rng = substream(seed, "train", db)
     noise_rng = substream(seed, "channel", "train", db)
-    history = TrainingHistory()
     batch_shape = (config.batch_size, config.channel_uses)
-    for step in range(1, config.steps + 1):
+
+    def next_batch():
         messages = msg_rng.integers(0, config.message_count, config.batch_size)
-        noise, fade = channels.draw_disturbance(spec, batch_shape, noise_rng)
-        try:
-            loss, grads = nn.loss_and_gradients_given(params, messages, noise,
-                                                      fade)
-        except (DivergenceError, DegenerateCodewordError) as exc:
-            raise type(exc)(str(exc), step=step) from exc
-        params, state = nn.adam_step(params, grads, state)
-        if not params.all_finite():
-            raise DivergenceError("non-finite parameters after update",
-                                  step=step)
-        if step % config.loss_log_interval == 0 or step == config.steps:
-            history.record(step, loss)
-    return params, history
+        return (messages,
+                *channels.draw_disturbance(spec, batch_shape, noise_rng))
+
+    return _train(config, layout, seed, next_batch)
 
 
 # -- sweep --------------------------------------------------------------------
@@ -302,7 +316,6 @@ def run_sweep(config: ExperimentConfig, workers: int = 1,
     once on the first seed.  ``progress`` is an optional callable taking a
     status string.
     """
-    config.validate()
     _require_hamming_rate(config)
     say = progress if progress is not None else lambda text: None
     curves = []
@@ -330,7 +343,6 @@ def baseline_curves(config: ExperimentConfig, workers: int = 1,
     """Hamming hard-decision, Hamming MLD, and uncoded BPSK over the test
     grid.  Hard and MLD share one substream per point, so their noise is
     matched draw for draw."""
-    config.validate()
     _require_hamming_rate(config)
     say = progress if progress is not None else lambda text: None
     rate = float(config.rate)
@@ -387,7 +399,6 @@ def width_sweep(config: ExperimentConfig, widths, train_ebn0_db: float = 7.0,
 
     Exploratory; emits data, asserts nothing about the curve shape.
     """
-    config.validate()
     if any(w < 1 for w in widths):
         raise ConfigurationError("widths must be >= 1")
     if seed is None:
@@ -407,22 +418,16 @@ def width_sweep(config: ExperimentConfig, widths, train_ebn0_db: float = 7.0,
 
     rows = []
     for width in widths:
-        layout = nn.default_layout(m, n, int(width))
-        params = nn.init_params(layout, seed)
-        state = nn.AdamState.for_params(
-            params, config.learning_rate, config.beta1, config.beta2,
-            config.epsilon)
         # same batch schedule for every width
         batch_rng = substream(seed, "width-sweep", "batches")
-        for step in range(1, config.steps + 1):
+
+        def next_batch():
             idx = batch_rng.integers(0, train_set_size, config.batch_size)
             fade = None if train_fade is None else train_fade[idx]
-            try:
-                _, grads = nn.loss_and_gradients_given(
-                    params, train_msgs[idx], train_noise[idx], fade)
-            except (DivergenceError, DegenerateCodewordError) as exc:
-                raise type(exc)(f"width {width}: {exc}", step=step) from exc
-            params, state = nn.adam_step(params, grads, state)
+            return train_msgs[idx], train_noise[idx], fade
+
+        params, _ = _train(config, nn.default_layout(m, n, int(width)), seed,
+                           next_batch, where=f"width {width}: ")
         train_loss = nn.loss_given_disturbance(params, train_msgs, train_noise,
                                                train_fade)
         test_loss = nn.loss_given_disturbance(params, test_msgs, test_noise,
@@ -445,7 +450,6 @@ def robustness_probe(params: nn.ModelParams, config: ExperimentConfig,
     additive noise is drawn before the fade, so the comparisons are paired:
     rho = 0 reproduces the AWGN curve exactly.
     """
-    config.validate()
     if seed is None:
         seed = config.seeds[0]
     rate = float(config.rate)

@@ -11,128 +11,72 @@ Everything is float64 and deterministic given a seed.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateCodewordError, DivergenceError
 from .rng import substream
 
-ACTIVATIONS = ("relu", "linear")
-
 _NORM_FLOOR = 1e-12
-
-
-@dataclass
-class DenseLayer:
-    weight: np.ndarray  # (fan_in, fan_out)
-    bias: np.ndarray  # (fan_out,)
-    activation: str
-
-
-def _layers_over(flat, specs):
-    """DenseLayers whose weight (row-major), then bias, are consecutive views
-    into ``flat``; ``specs`` lists (fan_in, fan_out, activation) per layer."""
-    layers, offset = [], 0
-    for fan_in, fan_out, activation in specs:
-        end = offset + fan_in * fan_out
-        layers.append(DenseLayer(flat[offset:end].reshape(fan_in, fan_out),
-                                 flat[end:end + fan_out], activation))
-        offset = end + fan_out
-    return layers
-
-
-@dataclass
-class ModelParams:
-    """Trainable state of the encoder/decoder pair.
-
-    All weights and biases live in one float64 vector ``flat`` in checkpoint
-    order (encoder first; per layer the weight row-major, then the bias), and
-    every layer array is a view into it; ``validate()`` packs layers given
-    without it, or swapped in later.  Treated as an immutable snapshot once
-    training ends; update steps return fresh instances.
-    """
-
-    encoder: list = field(default_factory=list)
-    decoder: list = field(default_factory=list)
-    message_count: int = 16
-    block_bits: int = 4
-    channel_uses: int = 7
-    flat: np.ndarray = field(default=None, repr=False)
-
-    def with_flat(self, flat) -> "ModelParams":
-        """A twin of this model (same layer shapes) over the vector ``flat``."""
-        layers = _layers_over(flat, [(*l.weight.shape, l.activation)
-                                     for l in self.encoder + self.decoder])
-        n_enc = len(self.encoder)
-        return ModelParams(layers[:n_enc], layers[n_enc:], self.message_count,
-                           self.block_bits, self.channel_uses, flat)
-
-    def validate(self):
-        """Check the layer chains; unless every layer array is already a view
-        into ``flat``, copy them all into a fresh ``flat`` and rebind them."""
-        m, n = self.message_count, self.channel_uses
-        if m != 2**self.block_bits:
-            raise ConfigurationError(
-                f"message_count {m} is not 2^block_bits (k={self.block_bits})"
-            )
-        for name, stack, w_in, w_out in (
-            ("encoder", self.encoder, m, n),
-            ("decoder", self.decoder, n, m),
-        ):
-            if not stack:
-                raise ConfigurationError(f"{name} has no layers")
-            width = w_in
-            for i, layer in enumerate(stack):
-                if layer.activation not in ACTIVATIONS:
-                    raise ConfigurationError(
-                        f"{name} layer {i}: unknown activation {layer.activation!r}"
-                    )
-                if layer.weight.shape[0] != width:
-                    raise ConfigurationError(
-                        f"{name} layer {i}: expected fan-in {width}, "
-                        f"got {layer.weight.shape[0]}"
-                    )
-                if layer.bias.shape != (layer.weight.shape[1],):
-                    raise ConfigurationError(
-                        f"{name} layer {i}: bias shape {layer.bias.shape} does not "
-                        f"match fan-out {layer.weight.shape[1]}"
-                    )
-                width = layer.weight.shape[1]
-            if width != w_out:
-                raise ConfigurationError(
-                    f"{name} output width {width} != required {w_out}"
-                )
-        if self.flat is None or not all(
-                np.may_share_memory(a, self.flat) for a in self.arrays()):
-            packed = self.with_flat(np.concatenate(
-                [a.ravel() for a in self.arrays()], dtype=np.float64))
-            self.encoder, self.decoder = packed.encoder, packed.decoder
-            self.flat = packed.flat
-        return self
-
-    def copy(self) -> "ModelParams":
-        return self.with_flat(self.flat.copy())
-
-    def arrays(self):
-        """All weight/bias arrays in a fixed order (encoder first)."""
-        out = []
-        for layer in self.encoder + self.decoder:
-            out.append(layer.weight)
-            out.append(layer.bias)
-        return out
-
-    def all_finite(self) -> bool:
-        return bool(np.isfinite(self.flat).all())
 
 
 @dataclass(frozen=True)
 class NetworkLayout:
-    """Full layer-size chains; first/last entries are pinned by M and n."""
+    """Full layer-size chains; first/last entries are pinned by M and n.
+
+    Hidden layers are ReLU and each stack's last layer is linear, so the
+    sizes fix the whole model.  Checked at construction.
+    """
 
     message_count: int = 16
     channel_uses: int = 7
     encoder_sizes: tuple = (16, 16, 7)
     decoder_sizes: tuple = (7, 16, 16)
+
+    def __post_init__(self):
+        self.validate()
+
+    def validate(self) -> "NetworkLayout":
+        m, n = self.message_count, self.channel_uses
+        if m < 1 or m & (m - 1):
+            raise ConfigurationError(f"message_count {m} is not a power of two")
+        for name, sizes, first, last in (
+            ("encoder", self.encoder_sizes, m, n),
+            ("decoder", self.decoder_sizes, n, m),
+        ):
+            if len(sizes) < 2:
+                raise ConfigurationError(f"{name} has no layers")
+            if any(s < 1 for s in sizes):
+                raise ConfigurationError(
+                    f"{name} layer sizes must be >= 1, got {tuple(sizes)}")
+            if (sizes[0], sizes[-1]) != (first, last):
+                raise ConfigurationError(
+                    f"{name} sizes {tuple(sizes)} must run from {first} to "
+                    f"{last}")
+        return self
+
+    @property
+    def block_bits(self) -> int:
+        return self.message_count.bit_length() - 1
+
+    # cached: every ModelParams built over this layout reads both
+    @cached_property
+    def layers(self) -> tuple:
+        """(fan_in, fan_out, activation) per layer, encoder first."""
+        out = []
+        for sizes in (self.encoder_sizes, self.decoder_sizes):
+            last = len(sizes) - 2
+            out += [(fan_in, fan_out, "relu" if i < last else "linear")
+                    for i, (fan_in, fan_out)
+                    in enumerate(zip(sizes[:-1], sizes[1:]))]
+        return tuple(out)
+
+    @cached_property
+    def parameter_count(self) -> int:
+        return sum(fan_in * fan_out + fan_out
+                   for fan_in, fan_out, _ in self.layers)
 
 
 def default_layout(message_count=16, channel_uses=7, decoder_hidden=None):
@@ -145,38 +89,85 @@ def default_layout(message_count=16, channel_uses=7, decoder_hidden=None):
     )
 
 
+class DenseLayer(NamedTuple):
+    weight: np.ndarray  # (fan_in, fan_out)
+    bias: np.ndarray  # (fan_out,)
+    activation: str
+
+
+@dataclass(frozen=True, eq=False)
+class ModelParams:
+    """Trainable state of the encoder/decoder pair: a layout and one float64
+    vector ``flat`` in checkpoint order (encoder first; per layer the weight
+    row-major, then the bias).
+
+    ``encoder`` and ``decoder`` are tuples of DenseLayers whose arrays are
+    views into ``flat``, derived from the layout; nothing can swap them out.
+    Treated as an immutable snapshot once training ends; update steps return
+    fresh instances.
+    """
+
+    layout: NetworkLayout
+    flat: np.ndarray = field(repr=False)
+    encoder: tuple = field(init=False, repr=False)
+    decoder: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        size = self.layout.parameter_count
+        if self.flat.shape != (size,):
+            raise ConfigurationError(
+                f"flat has shape {self.flat.shape}; the layout needs ({size},)")
+        layers, offset = [], 0
+        for fan_in, fan_out, activation in self.layout.layers:
+            end = offset + fan_in * fan_out
+            layers.append(DenseLayer(
+                self.flat[offset:end].reshape(fan_in, fan_out),
+                self.flat[end:end + fan_out], activation))
+            offset = end + fan_out
+        n_enc = len(self.layout.encoder_sizes) - 1
+        object.__setattr__(self, "encoder", tuple(layers[:n_enc]))
+        object.__setattr__(self, "decoder", tuple(layers[n_enc:]))
+
+    @property
+    def message_count(self) -> int:
+        return self.layout.message_count
+
+    @property
+    def block_bits(self) -> int:
+        return self.layout.block_bits
+
+    @property
+    def channel_uses(self) -> int:
+        return self.layout.channel_uses
+
+    def copy(self) -> "ModelParams":
+        return ModelParams(self.layout, self.flat.copy())
+
+    def arrays(self):
+        """All weight/bias arrays in a fixed order (encoder first)."""
+        return [a for layer in self.encoder + self.decoder
+                for a in (layer.weight, layer.bias)]
+
+    def all_finite(self) -> bool:
+        return bool(np.isfinite(self.flat).all())
+
+
 def init_params(layout: NetworkLayout, seed: int) -> ModelParams:
     """Zero-mean normal weights scaled by 1/sqrt(fan_in); zero biases.
 
-    Hidden layers are ReLU, output layers linear; deterministic given seed.
+    Weights are drawn layer by layer, encoder first; deterministic given seed.
     """
-    m, n = layout.message_count, layout.channel_uses
-    k = int(round(np.log2(m)))
-    if any(s < 1 for s in layout.encoder_sizes + layout.decoder_sizes):
-        raise ConfigurationError("layer sizes must be >= 1")
-
+    params = ModelParams(layout, np.zeros(layout.parameter_count))
     rng = substream(seed, "model-init")
-
-    def stack(sizes):
-        layers = []
-        for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-            act = "relu" if i < len(sizes) - 2 else "linear"
-            weight = rng.normal(0.0, 1.0 / np.sqrt(fan_in), (fan_in, fan_out))
-            layers.append(DenseLayer(weight, np.zeros(fan_out), act))
-        return layers
-
-    params = ModelParams(
-        stack(layout.encoder_sizes),
-        stack(layout.decoder_sizes),
-        message_count=m,
-        block_bits=k,
-        channel_uses=n,
-    )
-    return params.validate()
+    for layer in params.encoder + params.decoder:
+        fan_in = layer.weight.shape[0]
+        layer.weight[...] = rng.normal(0.0, 1.0 / np.sqrt(fan_in),
+                                       layer.weight.shape)
+    return params
 
 
 def zeros_like_params(params: ModelParams) -> ModelParams:
-    return params.with_flat(np.zeros_like(params.flat))
+    return ModelParams(params.layout, np.zeros_like(params.flat))
 
 
 def _forward_stack(layers, inputs):
@@ -223,11 +214,6 @@ def _encoder_forward(params: ModelParams, onehot):
     return x, z, norms, cache
 
 
-def _decoder_logits(params: ModelParams, y):
-    logits, cache = _forward_stack(params.decoder, y)
-    return logits, cache
-
-
 def _softmax(logits):
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
@@ -266,13 +252,15 @@ def _checked_received(params, received):
 
 def decode(params: ModelParams, received) -> np.ndarray:
     """Softmax posterior over messages; accepts (n,) or (batch, n)."""
-    logits, _ = _decoder_logits(params, _checked_received(params, received))
+    received = _checked_received(params, received)
+    logits, _ = _forward_stack(params.decoder, received)
     return _softmax(logits)
 
 
 def predict(params: ModelParams, received) -> np.ndarray:
     """Argmax message index; lowest index wins ties."""
-    logits, _ = _decoder_logits(params, _checked_received(params, received))
+    received = _checked_received(params, received)
+    logits, _ = _forward_stack(params.decoder, received)
     return np.argmax(logits, axis=-1)
 
 
@@ -314,7 +302,7 @@ def _loss_core(params, messages, noise, fade, want_grads):
         y = x + noise
     else:
         y = fade[..., None] * x + noise
-    logits, dec_cache = _decoder_logits(params, y)
+    logits, dec_cache = _forward_stack(params.decoder, y)
     probs = _softmax(logits)
     picked = probs[np.arange(batch), messages]
     with np.errstate(divide="ignore"):
@@ -324,7 +312,7 @@ def _loss_core(params, messages, noise, fade, want_grads):
     if not want_grads:
         return loss, None
 
-    grads = params.with_flat(np.empty_like(params.flat))
+    grads = ModelParams(params.layout, np.empty_like(params.flat))
     dlogits = (probs - onehot) / batch
     dy = _backward_stack(params.decoder, dec_cache, dlogits, grads.decoder)
     dx = dy if fade is None else fade[..., None] * dy
@@ -424,8 +412,8 @@ class AdamState:
 def adam_step(params: ModelParams, grads: ModelParams, state: AdamState):
     """One bias-corrected Adam update; returns (new_params, new_state) and
     leaves its inputs untouched."""
-    if [a.shape for a in params.arrays()] != [a.shape for a in grads.arrays()]:
-        raise ConfigurationError("gradient shapes do not match parameter shapes")
+    if grads.layout != params.layout:
+        raise ConfigurationError("gradient layout does not match parameter layout")
     t = state.step + 1
     b1, b2 = state.beta1, state.beta2
     lr, eps = state.learning_rate, state.epsilon
@@ -435,7 +423,8 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState):
     m_hat = m / (1.0 - b1**t)
     v_hat = v / (1.0 - b2**t)
     new_flat = params.flat - lr * m_hat / (np.sqrt(v_hat) + eps)
-    return params.with_flat(new_flat), AdamState(m, v, t, lr, b1, b2, eps)
+    return (ModelParams(params.layout, new_flat),
+            AdamState(m, v, t, lr, b1, b2, eps))
 
 
 # -- checkpoint file format ---------------------------------------------------
@@ -449,50 +438,57 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState):
 CHECKPOINT_MAGIC = b"AECOMMNN"
 CHECKPOINT_VERSION = 1
 _ACT_CODE = {"linear": 0, "relu": 1}
-_ACT_NAME = {v: k for k, v in _ACT_CODE.items()}
+
+
+def _header(layout: NetworkLayout) -> bytes:
+    words = [CHECKPOINT_VERSION, layout.message_count, layout.block_bits,
+             layout.channel_uses, len(layout.encoder_sizes) - 1,
+             len(layout.decoder_sizes) - 1]
+    for fan_in, fan_out, activation in layout.layers:
+        words += [fan_in, fan_out, _ACT_CODE[activation]]
+    return CHECKPOINT_MAGIC + np.asarray(words, dtype="<u4").tobytes()
 
 
 def save_checkpoint(params: ModelParams, path):
-    params.validate()
-    head = [CHECKPOINT_MAGIC]
-
-    def u32(*vals):
-        head.append(np.asarray(vals, dtype="<u4").tobytes())
-
-    u32(CHECKPOINT_VERSION, params.message_count, params.block_bits,
-        params.channel_uses, len(params.encoder), len(params.decoder))
-    for layer in params.encoder + params.decoder:
-        u32(layer.weight.shape[0], layer.weight.shape[1],
-            _ACT_CODE[layer.activation])
     with open(path, "wb") as fh:
-        fh.write(b"".join(head) + params.flat.astype("<f8").tobytes())
+        fh.write(_header(params.layout) + params.flat.astype("<f8").tobytes())
 
 
 def load_checkpoint(path) -> ModelParams:
+    """Read a checkpoint.  The header must be the one its layout writes: a
+    chain of layer sizes, ReLU hidden layers, linear output layers and
+    M = 2^k; every fault names the file."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != CHECKPOINT_MAGIC:
         raise ConfigurationError(f"{path}: not a model checkpoint")
+
+    def chain(rows):
+        return tuple(rows[:1, 0].tolist() + rows[:, 1].tolist())
+
     try:
         fields = np.frombuffer(blob, dtype="<u4", count=6, offset=8)
         version, m, k, n, n_enc, n_dec = (int(v) for v in fields)
         if version != CHECKPOINT_VERSION:
             raise ConfigurationError(
-                f"{path}: unsupported checkpoint version {version}")
-        shapes = np.frombuffer(blob, dtype="<u4", count=3 * (n_enc + n_dec),
-                               offset=32).reshape(-1, 3).tolist()
-        specs = [(fan_in, fan_out, _ACT_NAME[act])
-                 for fan_in, fan_out, act in shapes]
-        offset = 32 + 12 * len(specs)
-        size = sum(fan_in * fan_out + fan_out for fan_in, fan_out, _ in shapes)
-        flat = np.frombuffer(blob, dtype="<f8", count=size,
-                             offset=offset).astype(np.float64)
-    except ConfigurationError:
-        raise
-    except (ValueError, KeyError) as exc:
+                f"unsupported checkpoint version {version}")
+        table = np.frombuffer(blob, dtype="<u4", count=3 * (n_enc + n_dec),
+                              offset=32).reshape(-1, 3)
+        layout = NetworkLayout(m, n, chain(table[:n_enc]),
+                               chain(table[n_enc:]))
+        if k != layout.block_bits:
+            raise ConfigurationError(f"k={k} does not match M={m}")
+        header = _header(layout)
+        if blob[:len(header)] != header:
+            raise ConfigurationError(
+                "layer table is not a chain of ReLU hidden layers and a "
+                "linear output layer per stack")
+        flat = np.frombuffer(blob, dtype="<f8", count=layout.parameter_count,
+                             offset=len(header)).astype(np.float64)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
+    except ValueError as exc:
         raise ConfigurationError(f"{path}: corrupt checkpoint ({exc})") from exc
-    if offset + flat.nbytes != len(blob):
+    if len(header) + flat.nbytes != len(blob):
         raise ConfigurationError(f"{path}: trailing bytes in checkpoint")
-    layers = _layers_over(flat, specs)
-    params = ModelParams(layers[:n_enc], layers[n_enc:], m, k, n, flat)
-    return params.validate()
+    return ModelParams(layout, flat)

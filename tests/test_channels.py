@@ -65,12 +65,6 @@ class TestChannelSpec:
         with pytest.raises(ConfigurationError):
             ChannelSpec(ebn0_db=np.nan)
 
-    def test_with_ebn0(self):
-        spec = ChannelSpec("correlated_awgn", 3.0, 0.5, rho=0.4)
-        moved = spec.with_ebn0(-2.0)
-        assert moved.ebn0_db == -2.0
-        assert (moved.kind, moved.rate, moved.rho) == ("correlated_awgn", 0.5, 0.4)
-
 
 class TestCorrelationFactor:
     def test_factor_reconstructs_covariance(self):

@@ -125,6 +125,16 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="seeds"):
             ExperimentConfig(seeds=()).validate()
 
+    def test_repeated_seeds_rejected(self):
+        # pooling a seed twice counts the same draws twice
+        with pytest.raises(ConfigurationError, match="seeds.*repeat"):
+            loads_config("[seeds]\nseeds = 0, 0\n")
+
+    def test_repeated_train_points_rejected(self):
+        with pytest.raises(ConfigurationError,
+                           match="train_ebn0_db.*repeat"):
+            ExperimentConfig(train_ebn0_db=(7.0, 0.0, 7.0))
+
     def test_zero_target_errors(self):
         with pytest.raises(ConfigurationError, match="target_block_errors"):
             ExperimentConfig(target_block_errors=0).validate()
@@ -180,6 +190,3 @@ class TestDerived:
         assert spec.rho == 0.5
         assert spec.ebn0_db == 2.5
         assert spec.rate == pytest.approx(4 / 7)
-
-    def test_with_seed(self):
-        assert ExperimentConfig().with_seed(7).seeds == (7,)

@@ -4,7 +4,8 @@ from scipy.stats import binomtest
 
 from aecomm import ExperimentConfig, codecs, harness, nn
 from aecomm.channels import ChannelSpec
-from aecomm.errors import ConfigurationError, DegenerateCodewordError
+from aecomm.errors import (ConfigurationError, DegenerateCodewordError,
+                           DivergenceError)
 from aecomm.rng import substream
 
 
@@ -494,6 +495,24 @@ class TestWidthSweep:
         degenerate_at_call(monkeypatch, 3)
         with pytest.raises(DegenerateCodewordError,
                            match=r"^width 8: .*\(at step 3\)$") as info:
+            harness.width_sweep(reduced_config(steps=10), [8],
+                                train_set_size=64, test_set_size=100)
+        assert info.value.step == 3
+
+    def test_nonfinite_parameters_name_width_and_step(self, monkeypatch):
+        real = nn.adam_step
+
+        def poisoned(params, grads, state):
+            params, state = real(params, grads, state)
+            if state.step == 3:
+                params = params.copy()
+                params.flat[0] = np.nan
+            return params, state
+
+        monkeypatch.setattr(nn, "adam_step", poisoned)
+        with pytest.raises(DivergenceError,
+                           match=r"^width 8: non-finite parameters after "
+                                 r"update \(at step 3\)$") as info:
             harness.width_sweep(reduced_config(steps=10), [8],
                                 train_set_size=64, test_set_size=100)
         assert info.value.step == 3

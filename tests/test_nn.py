@@ -18,8 +18,8 @@ def small_batch(params, size=4, sigma=0.4, key=0):
 
 
 def fitted_decoder(params, scale=None):
-    """Replace the decoder so every clean codeword maps to its message with
-    a large logit margin: hidden_j = scale * <y, c_j>, logits = hidden."""
+    """A copy whose decoder maps every clean codeword to its message with a
+    large logit margin: hidden_j = scale * <y, c_j>, logits = hidden."""
     cb = nn.codebook(params)
     m, n = params.message_count, params.channel_uses
     gram = cb @ cb.T
@@ -27,11 +27,12 @@ def fitted_decoder(params, scale=None):
     if scale is None:
         scale = 25.0 / margin
     fitted = params.copy()
-    fitted.decoder = [
-        nn.DenseLayer(scale * cb.T.copy(), np.zeros(m), "relu"),
-        nn.DenseLayer(np.eye(m), np.zeros(m), "linear"),
-    ]
-    return fitted.validate()
+    hidden, output = fitted.decoder
+    hidden.weight[...] = scale * cb.T
+    output.weight[...] = np.eye(m)
+    for layer in fitted.decoder:
+        layer.bias[...] = 0.0
+    return fitted
 
 
 class TestInit:
@@ -62,14 +63,12 @@ class TestInit:
         assert [l.activation for l in params.decoder] == ["relu", "linear"]
 
     def test_bad_encoder_output_width(self):
-        layout = nn.NetworkLayout(16, 7, (16, 16, 6), (7, 16, 16))
         with pytest.raises(ConfigurationError):
-            nn.init_params(layout, 0)
+            nn.init_params(nn.NetworkLayout(16, 7, (16, 16, 6), (7, 16, 16)), 0)
 
     def test_bad_message_count(self):
-        layout = nn.NetworkLayout(12, 7, (12, 12, 7), (7, 12, 12))
         with pytest.raises(ConfigurationError):
-            nn.init_params(layout, 0)
+            nn.init_params(nn.NetworkLayout(12, 7, (12, 12, 7), (7, 12, 12)), 0)
 
     def test_decoder_hidden_override(self):
         layout = nn.default_layout(decoder_hidden=32)
@@ -190,7 +189,7 @@ class TestLossAndGradients:
     def test_divergence_on_underflowing_posterior(self, quick_model):
         fitted = fitted_decoder(quick_model, scale=2000.0)
         # point every logit at the wrong message
-        fitted.decoder[1].weight = np.roll(np.eye(16), 1, axis=1)
+        fitted.decoder[1].weight[...] = np.roll(np.eye(16), 1, axis=1)
         messages = np.arange(16)
         noise = np.zeros((16, 7))
         with pytest.raises(DivergenceError):
@@ -309,6 +308,25 @@ class TestCheckpoint:
             with pytest.raises(ConfigurationError, match=r"model\.ckpt"):
                 nn.load_checkpoint(path)
 
+    @pytest.mark.parametrize("edits, kept, fault", [
+        # both layer counts 0, header only
+        ({24: 0, 28: 0}, 32, "encoder has no layers"),
+        ({32 + 12: 15}, None, "not a chain"),  # encoder layer 1 fan_in
+        ({32 + 8: 0}, None, "not a chain"),  # encoder hidden layer linear
+        ({16: 3}, None, "k=3 does not match M=16"),
+    ])
+    def test_layout_fault_names_file(self, quick_model, tmp_path, edits,
+                                     kept, fault):
+        path = tmp_path / "model.ckpt"
+        nn.save_checkpoint(quick_model, path)
+        blob = bytearray(path.read_bytes())
+        for offset, word in edits.items():
+            blob[offset:offset + 4] = word.to_bytes(4, "little")
+        path.write_bytes(bytes(blob[:kept]))
+        with pytest.raises(ConfigurationError,
+                           match=rf"model\.ckpt: .*{fault}"):
+            nn.load_checkpoint(path)
+
     def test_trailing_bytes_rejected(self, quick_model, tmp_path):
         path = tmp_path / "model.ckpt"
         nn.save_checkpoint(quick_model, path)
@@ -360,13 +378,21 @@ class TestFlatBuffer:
             assert_packed(p)
         assert not np.shares_memory(params.copy().flat, params.flat)
 
-    def test_validate_packs_swapped_in_layers(self, quick_model, tmp_path):
+    def test_layers_cannot_be_swapped_out(self, quick_model, tmp_path):
         fitted = fitted_decoder(quick_model)
+        with pytest.raises(AttributeError):
+            fitted.decoder[1].weight = np.zeros((16, 16))
+        with pytest.raises(TypeError):
+            fitted.decoder[1] = fitted.decoder[0]
+        with pytest.raises(AttributeError):
+            fitted.decoder = ()
+        with pytest.raises(ConfigurationError):
+            nn.ModelParams(fitted.layout, fitted.flat[:-1])
         assert_packed(fitted)
         path = tmp_path / "fitted.ckpt"
         nn.save_checkpoint(fitted, path)
-        loaded = nn.load_checkpoint(path)
-        assert np.array_equal(loaded.decoder[1].weight, np.eye(16))
+        for kept in (fitted.copy(), nn.load_checkpoint(path)):
+            assert np.array_equal(kept.decoder[1].weight, np.eye(16))
 
     def test_flat_bytes_are_checkpoint_body(self, quick_model, tmp_path):
         path = tmp_path / "model.ckpt"
