@@ -95,7 +95,8 @@ def draw_disturbance(spec: ChannelSpec, shape, rng: np.random.Generator):
         factor = correlation_factor(spec.rho, shape[-1], sigma2)
         noise = rng.standard_normal(shape) @ factor.T
     else:
-        noise = np.sqrt(sigma2) * rng.standard_normal(shape)
+        noise = rng.standard_normal(shape)
+        noise *= np.sqrt(sigma2)
     fade = None
     if spec.kind == "rayleigh":
         fade = rng.rayleigh(_RAYLEIGH_SCALE, size=shape[:-1])
@@ -114,5 +115,6 @@ def transmit(spec: ChannelSpec, x: np.ndarray, rng: np.random.Generator):
         raise ValueError("transmit input must be finite")
     noise, fade = draw_disturbance(spec, x.shape, rng)
     if fade is None:
-        return x + noise, None
+        noise += x  # the fresh noise buffer becomes y; x is left untouched
+        return noise, None
     return fade[..., None] * x + noise, fade

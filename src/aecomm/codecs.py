@@ -101,15 +101,16 @@ def hamming_mld_message(y) -> np.ndarray:
     """Minimum-Euclidean-distance decoding over all 16 BPSK codewords,
     returned as message indices.
 
-    Lowest message index wins ties.
+    Every codeword has ||c||^2 = 7, so ||y - c||^2 = ||y||^2 - 2 y.c + 7 and
+    the nearest codeword is the one of largest correlation y.c.  argmax
+    returns the first maximum, so the lowest message index wins ties.
     """
     y = np.asarray(y, dtype=float)
     if y.shape[-1] != N:
         raise ValueError(f"expected {N} channel values, got shape {y.shape}")
     if not np.all(np.isfinite(y)):
         raise ValueError("mld input must be finite")
-    dist = ((y[..., None, :] - CODEBOOK_BPSK) ** 2).sum(axis=-1)
-    return dist.argmin(axis=-1)
+    return (y @ CODEBOOK_BPSK.T).argmax(axis=-1)
 
 
 def q_function(x):

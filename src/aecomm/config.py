@@ -53,7 +53,7 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         def require(cond, key, text):
             if not cond:
-                raise ConfigurationError(f"{key}: {text}")
+                raise ConfigurationError(f"{key}: {text}", key=key)
 
         require(self.channel_kind in CHANNEL_KINDS, "kind",
                 f"must be one of {CHANNEL_KINDS}")
@@ -174,9 +174,11 @@ _SCHEMA = {
 
 
 def loads_config(text: str) -> ExperimentConfig:
-    """Parse config text; unknown sections/keys and bad values are errors
-    carrying the offending line number."""
+    """Parse config text; unknown sections/keys and bad or invalid values are
+    errors carrying the offending line number (none for a key left at its
+    default)."""
     values = {}
+    key_lines = {}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -210,8 +212,12 @@ def loads_config(text: str) -> ExperimentConfig:
         if attr in values:
             raise ConfigFileError(f"duplicate key {key!r}", line=lineno)
         values[attr] = parsed
+        key_lines[key] = lineno
 
-    return ExperimentConfig(**values)
+    try:
+        return ExperimentConfig(**values)
+    except ConfigurationError as exc:
+        raise ConfigFileError(str(exc), line=key_lines.get(exc.key)) from exc
 
 
 def load_config(path) -> ExperimentConfig:
@@ -220,7 +226,10 @@ def load_config(path) -> ExperimentConfig:
             text = fh.read()
     except OSError as exc:
         raise ConfigFileError(f"cannot read config file {path}: {exc}") from exc
-    return loads_config(text)
+    try:
+        return loads_config(text)
+    except ConfigFileError as exc:
+        raise ConfigFileError(exc.reason, line=exc.line, path=path) from None
 
 
 def serialize_config(config: ExperimentConfig) -> str:

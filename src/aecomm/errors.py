@@ -2,16 +2,26 @@
 
 
 class ConfigurationError(ValueError):
-    """Inconsistent layout, invalid channel parameters, or bad config values."""
+    """Inconsistent layout, invalid channel parameters, or bad config values.
+
+    ``key`` names the config-file key at fault, when there is one.
+    """
+
+    def __init__(self, message, key=None):
+        self.key = key
+        super().__init__(message)
 
 
 class ConfigFileError(ConfigurationError):
-    """Malformed config file; carries the offending line number when known."""
+    """Malformed or invalid config file; names the file and the line when
+    they are known."""
 
-    def __init__(self, message, line=None):
-        self.line = line
+    def __init__(self, message, line=None, path=None):
+        self.reason, self.line, self.path = message, line, path
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
 
 

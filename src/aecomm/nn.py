@@ -175,7 +175,8 @@ def _forward_stack(layers, inputs):
     a = inputs
     cache = []
     for layer in layers:
-        pre = a @ layer.weight + layer.bias
+        pre = a @ layer.weight
+        pre += layer.bias
         post = np.maximum(pre, 0.0) if layer.activation == "relu" else pre
         cache.append((a, pre))
         a = post

@@ -135,6 +135,17 @@ class TestTransmit:
         assert fade is None
         assert np.array_equal(y, x + noise)
 
+    def test_awgn_bit_for_bit_and_input_untouched(self):
+        # y = x + sqrt(sigma2) * z exactly, z from a twin substream
+        spec = ChannelSpec("awgn", 2.5, 4 / 7)
+        x = substream(12, "cw").standard_normal((500, 7))
+        x_before = x.copy()
+        z = substream(13, "n").standard_normal((500, 7))
+        y, _ = transmit(spec, x, substream(13, "n"))
+        assert np.array_equal(y, x_before + np.sqrt(spec.sigma2) * z)
+        assert np.array_equal(x, x_before)
+        assert not np.shares_memory(y, x)
+
     def test_zero_noise_sentinel_passes_through(self):
         spec = ChannelSpec("awgn", np.inf, 4 / 7)
         x = substream(7, "cw").standard_normal((16, 7))

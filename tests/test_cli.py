@@ -68,6 +68,20 @@ class TestExitCodes:
         assert "steps" in err
         assert "line 2" in err
 
+    @pytest.mark.parametrize("text, line, fault", [
+        ("[seeds]\nseeds = 0, 0\n", 2, "seeds: entries must not repeat"),
+        ("[channel]\nrho = 1.5\n", 2, "rho: must be in [0, 1), got 1.5"),
+    ], ids=["repeated-seeds", "rho-out-of-range"])
+    def test_invalid_config_names_file_and_line(self, tmp_path, capsys, text,
+                                                line, fault):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text)
+        code = run_command(["train", "--config", str(bad),
+                            "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {bad}: line {line}: {fault}\n"
+        assert not (tmp_path / "run").exists()
+
     def test_bad_test_db_list_is_config_error(self, tmp_path, capsys):
         code = run_command(["overlap", "--test-db", "1,two",
                             "--out", str(tmp_path)])

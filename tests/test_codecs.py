@@ -92,6 +92,22 @@ class TestMldDecode:
         y = codecs.CODEBOOK_BPSK[rng.integers(0, 16, 200)] + rng.normal(0, 0.8, (200, 7))
         assert np.array_equal(codecs.hamming_mld_message(y), brute_force_mld(y))
 
+    @pytest.mark.parametrize("sigma", [0.3, 0.8, 1.6])
+    def test_matches_brute_force_across_noise_levels(self, sigma):
+        rng = substream(1, "mld-sigma", str(sigma))
+        y = codecs.CODEBOOK_BPSK[rng.integers(0, 16, 1000)] + rng.normal(0, sigma, (1000, 7))
+        assert np.array_equal(codecs.hamming_mld_message(y), brute_force_mld(y))
+
+    def test_pair_midpoints_tie_break_like_brute_force(self):
+        # (c_a + c_b) / 2 is equidistant from c_a and c_b, and every sum is
+        # exact in floating point, so these are true ties
+        a, b = np.triu_indices(16, k=1)
+        assert a.size == 120
+        y = (codecs.CODEBOOK_BPSK[a] + codecs.CODEBOOK_BPSK[b]) / 2
+        decoded = codecs.hamming_mld_message(y)
+        assert np.array_equal(decoded, brute_force_mld(y))
+        assert np.all(decoded <= a)
+
     def test_clean_codewords_decode_exactly(self):
         assert np.array_equal(codecs.hamming_mld_message(codecs.CODEBOOK_BPSK), np.arange(16))
 

@@ -135,9 +135,51 @@ class TestValidation:
                            match="train_ebn0_db.*repeat"):
             ExperimentConfig(train_ebn0_db=(7.0, 0.0, 7.0))
 
+    def test_default_key_fault_has_no_line(self):
+        # the fault names test_ebn0_start, which the file leaves at its default
+        with pytest.raises(ConfigFileError) as err:
+            loads_config("[sweep]\ntest_ebn0_stop = -5\n")
+        assert err.value.line is None
+        assert str(err.value).startswith("test_ebn0_start: ")
+
     def test_zero_target_errors(self):
         with pytest.raises(ConfigurationError, match="target_block_errors"):
             ExperimentConfig(target_block_errors=0).validate()
+
+
+# validation faults that a file can hold: (text, line, message pattern)
+INVALID_FILES = [
+    ("[seeds]\nseeds = 0, 0\n", 2, r"seeds: entries must not repeat"),
+    ("# probe\n[channel]\nkind = awgn\nrho = 1.5\n", 4,
+     r"rho: must be in \[0, 1\), got 1\.5"),
+]
+INVALID_IDS = ["repeated-seeds", "rho-out-of-range"]
+
+
+class TestValidationNamesLine:
+    @pytest.mark.parametrize("text, line, pattern", INVALID_FILES,
+                             ids=INVALID_IDS)
+    def test_loads_config_names_line(self, text, line, pattern):
+        with pytest.raises(ConfigFileError, match=rf"^line {line}: {pattern}$"):
+            loads_config(text)
+
+    @pytest.mark.parametrize("text, line, pattern", INVALID_FILES,
+                             ids=INVALID_IDS)
+    def test_load_config_names_file_and_line(self, tmp_path, text, line,
+                                             pattern):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigFileError) as err:
+            load_config(path)
+        assert err.value.line == line
+        assert err.value.path == path
+        assert str(err.value).startswith(f"{path}: line {line}: ")
+
+    def test_parse_fault_names_file(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("[training]\nsteps = soon\n")
+        with pytest.raises(ConfigFileError, match=r"bad\.cfg: line 2: .*steps"):
+            load_config(path)
 
 
 class TestParsing:

@@ -3,7 +3,7 @@ import pytest
 from scipy.stats import binomtest
 
 from aecomm import ExperimentConfig, codecs, harness, nn
-from aecomm.channels import ChannelSpec
+from aecomm.channels import ChannelSpec, transmit
 from aecomm.errors import (ConfigurationError, DegenerateCodewordError,
                            DivergenceError)
 from aecomm.rng import substream
@@ -53,6 +53,16 @@ class TestWilson:
         low, high = harness.wilson_interval(300, 300)
         assert high == 1.0
         assert low > 0.98
+
+    @pytest.mark.parametrize("p", [0.3, 0.01, 1e-3])
+    def test_coverage_under_stop_at_200_errors(self, p):
+        # the estimator stops at the 200th error, so the block count is
+        # 200 plus the NegBinomial(200, p) error-free blocks before it
+        blocks = 200 + substream(0, "wilson-nb", str(p)).negative_binomial(
+            200, p, size=20_000)
+        covered = [low <= p <= high for low, high in
+                   (harness.wilson_interval(200, int(n)) for n in blocks)]
+        assert 0.94 <= np.mean(covered) <= 0.96
 
     def test_needs_positive_blocks(self):
         with pytest.raises(ValueError):
@@ -170,6 +180,18 @@ class TestEstimateBler:
         assert point.ci_low <= want <= point.ci_high
 
 
+def distance_mld_system(spec):
+    """Hamming MLD written as the explicit distance argmin, lowest index on
+    ties; the reference for the correlation decoder."""
+
+    def run(messages, rng):
+        y, _ = transmit(spec, codecs.CODEBOOK_BPSK[messages], rng)
+        dist = ((y[..., None, :] - codecs.CODEBOOK_BPSK) ** 2).sum(axis=-1)
+        return dist.argmin(axis=-1)
+
+    return harness.ChannelSystem(16, run)
+
+
 class TestSystems:
     def test_autoencoder_system_zero_noise_is_exact(self, quick_model):
         system = harness.autoencoder_system(
@@ -203,6 +225,16 @@ class TestSystems:
         )
         assert hard.blocks == mld.blocks
         assert mld.bler <= hard.bler
+
+    @pytest.mark.parametrize("db", [1.0, 4.0, 6.0])
+    def test_mld_equals_distance_reference_point_for_point(self, db):
+        spec = ChannelSpec("awgn", db, 4 / 7)
+        stop = harness.StopRule(200, 100_000)
+        got = harness.estimate_bler(harness.hamming_mld_system(spec), db, stop,
+                                    ("mld-ref", int(db)))
+        want = harness.estimate_bler(distance_mld_system(spec), db, stop,
+                                     ("mld-ref", int(db)))
+        assert got == want
 
 
 def degenerate_at_call(monkeypatch, bad_call):

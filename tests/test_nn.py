@@ -139,6 +139,15 @@ class TestDecode:
         cb = nn.codebook(quick_model)
         assert np.array_equal(nn.predict(quick_model, cb), np.arange(16))
 
+    def test_predict_matches_written_out_forward(self, quick_model):
+        # argmax of relu(y W1 + b1) W2 + b2, bit for bit, on noisy codewords
+        rng = substream(3, "dec")
+        y = nn.codebook(quick_model)[rng.integers(0, 16, 20_000)]
+        y = y + 0.7 * rng.standard_normal(y.shape)
+        hidden, output = quick_model.decoder
+        logits = np.maximum(y @ hidden.weight + hidden.bias, 0.0) @ output.weight + output.bias
+        assert np.array_equal(nn.predict(quick_model, y), np.argmax(logits, axis=-1))
+
     def test_predict_matches_decode_argmax(self, quick_model):
         y = substream(2, "dec").standard_normal((64, 7))
         assert np.array_equal(
