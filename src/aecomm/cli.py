@@ -118,6 +118,13 @@ def _parse_db_list(text):
     return values
 
 
+def _worker_count(text):
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 # -- subcommands --------------------------------------------------------------
 
 def _cmd_overlap(run, args, config):
@@ -203,9 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--quiet", action="store_true",
                        help="suppress progress output")
         if workers:
-            p.add_argument("--workers", type=int, default=1,
-                           help="threads for BLER estimation; results are "
-                                "identical for any worker count")
+            p.add_argument("--workers", type=_worker_count, default=1,
+                           help="threads running independent BLER "
+                                "estimates; results are identical for any "
+                                "count")
 
     p = sub.add_parser("overlap",
                        help="overlap/KL table between train and test "

@@ -3,13 +3,14 @@ rules and Wilson intervals, the train/test generalization sweep, the overlap
 table, the capacity (width) probe, and the channel-mismatch probe.
 
 Determinism contract: every random draw comes from a substream named by
-(seed, purpose, operating point[, chunk index]).  BLER estimation walks
-fixed-size chunks whose substreams depend only on the chunk index, stops at
-the exact block where the target error count is reached, and is therefore
+(seed, purpose, operating point[, chunk index]).  One BLER estimate walks
+fixed-size chunks in index order, each on its own substream, and stops at
+the exact block where the target error count is reached.  Parallelism is one
+level: the curve routines run whole estimates, one per (point, seed), on
+``workers`` threads.  Each estimate owns its substreams, so every result is
 invariant to the worker count.
 """
 
-import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -117,53 +118,25 @@ def estimate_bler(system: ChannelSystem, test_ebn0_db: float, stop: StopRule,
 
     ``seed_key`` is a tuple of int/str substream keys; chunk i draws from
     ``substream(*seed_key, i)``.  Chunks hold ``DEFAULT_CHUNK_BLOCKS`` blocks
-    (the last one fewer, at ``max_blocks``), are consumed in index order, and
-    the count is truncated at the exact block where the target error count
-    is reached, so the result is identical for any ``workers``.
+    (the last one fewer, at ``max_blocks``), run in index order, and the
+    count stops at the exact block where the target error count is reached.
+    ``workers`` has no effect: the curve routines run whole estimates in
+    parallel instead.
     """
-    seed_key = tuple(seed_key)
     target = stop.target_block_errors
-    max_blocks = stop.max_blocks
-
-    def chunk_size(index):
-        return min(DEFAULT_CHUNK_BLOCKS,
-                   max_blocks - index * DEFAULT_CHUNK_BLOCKS)
-
-    def run_chunk(index):
+    blocks = errors = index = 0
+    while errors < target and blocks < stop.max_blocks:
         rng = substream(*seed_key, index)
-        msgs = rng.integers(0, system.message_count, chunk_size(index))
-        decoded = system.run(msgs, rng)
-        return np.not_equal(decoded, msgs)
-
-    blocks = 0
-    errors = 0
-    wave = max(1, workers)
-    pool = ThreadPoolExecutor(max_workers=wave) if workers > 1 else None
-    try:
-        for first in itertools.count(0, wave):
-            indices = [i for i in range(first, first + wave) if chunk_size(i) > 0]
-            if not indices or errors >= target or blocks >= max_blocks:
-                break
-            if pool is not None:
-                results = list(pool.map(run_chunk, indices))
-            else:
-                results = [run_chunk(i) for i in indices]
-            for err_vec in results:
-                if errors >= target or blocks >= max_blocks:
-                    break  # later chunks of the wave are discarded
-                cums = errors + np.cumsum(err_vec)
-                if cums[-1] >= target:
-                    cut = int(np.searchsorted(cums, target))
-                    blocks += cut + 1
-                    errors = target
-                else:
-                    blocks += err_vec.size
-                    errors = int(cums[-1])
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    if blocks == 0:
-        raise RuntimeError("no blocks simulated")
+        msgs = rng.integers(0, system.message_count,
+                            min(DEFAULT_CHUNK_BLOCKS, stop.max_blocks - blocks))
+        cums = errors + np.cumsum(np.not_equal(system.run(msgs, rng), msgs))
+        if cums[-1] >= target:
+            blocks += int(np.searchsorted(cums, target)) + 1
+            errors = target
+        else:
+            blocks += msgs.size
+            errors = int(cums[-1])
+        index += 1
     return make_bler_point(test_ebn0_db, errors, blocks)
 
 
@@ -290,20 +263,29 @@ def _curve(system, label, train_ebn0_db, system_for, seeds, key, config,
     Each point pools the counts of one estimate per seed; the estimate for
     ``seed`` at ``db`` runs ``system_for(seed, db)`` on the chunk substreams
     ``(seed, "bler", key, db)``.  Curves that share ``key`` and a seed see
-    the same messages and draws.
+    the same messages and draws.  Each estimate owns its substreams, so
+    ``workers`` threads running them give the same curve as one.
     """
     stop = StopRule(config.target_block_errors, config.max_blocks)
+    grid = config.test_grid()
+    tasks = [(db, seed) for db in grid for seed in seeds]
+
+    def estimate(task):
+        db, seed = task
+        return estimate_bler(system_for(seed, db), db, stop,
+                             seed_key=(seed, "bler", key, _db_key(db)))
+
+    if workers == 1:
+        estimates = list(map(estimate, tasks))
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            estimates = list(pool.map(estimate, tasks))
     points = []
-    for db in config.test_grid():
-        errors = 0
-        blocks = 0
-        for seed in seeds:
-            point = estimate_bler(
-                system_for(seed, db), db, stop,
-                seed_key=(seed, "bler", key, _db_key(db)), workers=workers)
-            errors += point.block_errors
-            blocks += point.blocks
-        points.append(make_bler_point(db, errors, blocks))
+    for i, db in enumerate(grid):
+        per_seed = estimates[i * len(seeds):(i + 1) * len(seeds)]
+        points.append(make_bler_point(
+            db, sum(p.block_errors for p in per_seed),
+            sum(p.blocks for p in per_seed)))
     return BlerCurve(system, label, train_ebn0_db, len(seeds), points)
 
 

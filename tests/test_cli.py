@@ -82,6 +82,16 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {bad}: line {line}: {fault}\n"
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_usage_error(self, tmp_path, capsys,
+                                              workers):
+        out = tmp_path / "run"
+        code = run_command(["robustness", "--workers", workers,
+                            "--out", str(out)])
+        assert code == 1
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_test_db_list_is_config_error(self, tmp_path, capsys):
         code = run_command(["overlap", "--test-db", "1,two",
                             "--out", str(tmp_path)])

@@ -138,26 +138,6 @@ class TestEstimateBler:
         )
         assert a == b
 
-    def test_worker_count_invariance(self):
-        stop = harness.StopRule(150, 10**6)
-        baseline = harness.estimate_bler(synthetic_system(0.01), 0.0, stop, ("f",))
-        for workers in (2, 5):
-            point = harness.estimate_bler(
-                synthetic_system(0.01), 0.0, stop, ("f",), workers=workers
-            )
-            assert point == baseline
-
-    def test_worker_invariance_on_real_system(self):
-        spec = ChannelSpec("awgn", 2.0, 4 / 7)
-        stop = harness.StopRule(80, 10**6)
-        a = harness.estimate_bler(
-            harness.hamming_hard_system(spec), 2.0, stop, ("g",), workers=1
-        )
-        b = harness.estimate_bler(
-            harness.hamming_hard_system(spec), 2.0, stop, ("g",), workers=4
-        )
-        assert a == b
-
     def test_wilson_calibration_covers_true_rate(self):
         # 95% interval should cover the true p in at least 90 of 100 runs
         for p in (0.1, 0.01):
@@ -381,6 +361,43 @@ class TestBaselines:
             want = codecs.hamming_hard_bler_closed_form(point.test_ebn0_db)
             se = np.sqrt(want * (1 - want) / point.blocks)
             assert abs(point.bler - want) <= 4 * se, point
+
+
+class TestWorkers:
+    """Workers run whole estimates, one per (point, seed)."""
+
+    def test_baseline_curves_equal_at_one_and_three_workers(self):
+        config = reduced_config(test_ebn0_start=0.0, test_ebn0_stop=6.0,
+                                test_ebn0_step=2.0)
+        assert (harness.baseline_curves(config, workers=3)
+                == harness.baseline_curves(config, workers=1))
+
+    def test_two_seed_sweep_equal_at_one_and_two_workers(self):
+        config = reduced_config(seeds=(0, 1), steps=150)
+        serial = harness.run_sweep(config, workers=1)
+        threaded = harness.run_sweep(config, workers=2)
+        assert threaded.curves == serial.curves
+        assert serial.curves[0].seed_count == 2
+
+    def test_no_chunk_is_thrown_away(self, monkeypatch):
+        config = reduced_config(test_ebn0_start=2.0, test_ebn0_stop=8.0,
+                                test_ebn0_step=2.0, max_blocks=100_000)
+        rows = []
+
+        def counting(spec, x, rng):
+            rows.append(x.shape[0])
+            return transmit(spec, x, rng)
+
+        monkeypatch.setattr(harness.channels, "transmit", counting)
+        curves = harness.baseline_curves(config, workers=3)
+        chunk = harness.DEFAULT_CHUNK_BLOCKS
+        needed = [min(config.max_blocks, chunk * -(-p.blocks // chunk))
+                  for c in curves for p in c.points]
+        # a point that stops at its target after the first chunk, where
+        # chunks run ahead of the stop would be discarded
+        assert any(p.block_errors == 50 and p.blocks > chunk
+                   for c in curves for p in c.points)
+        assert sum(rows) == sum(needed)
 
 
 class TestSubstreamKeys:
