@@ -16,6 +16,10 @@ from .errors import ConfigurationError
 
 CHANNEL_KINDS = ("awgn", "correlated_awgn", "rayleigh")
 
+# Rows per tile of transmit_tiles: every decoder temporary of a tile stays
+# under 128 KB, and its matrix products are small enough for one BLAS thread.
+TILE_ROWS = 1024
+
 # Rayleigh scale giving the fade unit second moment: E[h^2] = 2*scale^2 = 1.
 _RAYLEIGH_SCALE = 1.0 / np.sqrt(2.0)
 
@@ -118,3 +122,24 @@ def transmit(spec: ChannelSpec, x: np.ndarray, rng: np.random.Generator):
         noise += x  # the fresh noise buffer becomes y; x is left untouched
         return noise, None
     return fade[..., None] * x + noise, fade
+
+
+def transmit_tiles(spec: ChannelSpec, codebook, messages, rng):
+    """Yield the received words of ``codebook[messages]`` in consecutive
+    tiles of ``TILE_ROWS`` rows (the last one may be shorter).
+
+    On the additive kinds each tile is one ``transmit``, drawn only when the
+    consumer asks for it; the tiles consume ``rng`` in the order of one
+    whole-batch ``transmit``, so they are bit-identical to it.  The rayleigh
+    fades follow the whole batch's noise in the stream, so that kind is
+    transmitted whole and only sliced.
+    """
+    starts = range(0, len(messages), TILE_ROWS)
+    if spec.kind == "rayleigh":
+        y, _ = transmit(spec, codebook[messages], rng)
+        for start in starts:
+            yield y[start:start + TILE_ROWS]
+        return
+    for start in starts:
+        y, _ = transmit(spec, codebook[messages[start:start + TILE_ROWS]], rng)
+        yield y

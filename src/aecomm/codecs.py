@@ -33,13 +33,6 @@ PARITY_CHECK = np.array(
     dtype=np.int64,
 )
 
-# Syndrome value (as a 3-bit integer, MSB = first check row) -> index of the
-# single corrupted position, or -1 for the zero syndrome.
-_SYNDROME_TO_POSITION = np.full(8, -1, dtype=np.int64)
-for _j in range(N):
-    _s = int(PARITY_CHECK[0, _j] * 4 + PARITY_CHECK[1, _j] * 2 + PARITY_CHECK[2, _j])
-    _SYNDROME_TO_POSITION[_s] = _j
-
 
 def message_to_bits(message) -> np.ndarray:
     """Message index -> 4 bits, MSB first.  Accepts scalars or arrays."""
@@ -81,20 +74,22 @@ def bpsk_demap(values) -> np.ndarray:
 CODEBOOK_BPSK = bpsk_map(CODEBOOK_BITS)
 
 
+# Hamming(7,4) is a perfect code: each of the 128 hard-decision words lies
+# within distance 1 of exactly one codeword.  Row w holds that codeword's
+# message bits, for the word whose bits (MSB first) spell w.
+_WORD_WEIGHTS = 1 << np.arange(N - 1, -1, -1)
+_WORDS = (np.arange(2**N)[:, None] & _WORD_WEIGHTS) != 0
+_HARD_DECODE_TABLE = CODEBOOK_BITS[
+    (_WORDS[:, None, :] != CODEBOOK_BITS).sum(axis=-1).argmin(axis=-1), :K]
+
+
 def hamming_hard_decode(y) -> np.ndarray:
-    """Sign-slice, correct at most one bit via the syndrome, return the
-    systematic 4 bits."""
-    hard = bpsk_demap(y)
-    if hard.shape[-1] != N:
-        raise ValueError(f"expected {N} channel values, got shape {hard.shape}")
-    syndrome = (hard @ PARITY_CHECK.T) % 2
-    svals = syndrome @ np.array([4, 2, 1])
-    pos = _SYNDROME_TO_POSITION[svals]
-    flip = np.zeros_like(hard)
-    np.put_along_axis(
-        flip, np.maximum(pos, 0)[..., None], (pos >= 0).astype(np.int64)[..., None], -1
-    )
-    return (hard ^ flip)[..., :K]
+    """Sign-slice like ``bpsk_demap``, correct at most one bit, return the
+    systematic 4 bits; one table lookup per block."""
+    y = np.asarray(y, dtype=float)
+    if y.shape[-1] != N:
+        raise ValueError(f"expected {N} channel values, got shape {y.shape}")
+    return _HARD_DECODE_TABLE[(y < 0.0) @ _WORD_WEIGHTS]
 
 
 def hamming_mld_message(y) -> np.ndarray:

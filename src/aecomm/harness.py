@@ -5,10 +5,15 @@ table, the capacity (width) probe, and the channel-mismatch probe.
 Determinism contract: every random draw comes from a substream named by
 (seed, purpose, operating point[, chunk index]).  One BLER estimate walks
 fixed-size chunks in index order, each on its own substream, and stops at
-the exact block where the target error count is reached.  Parallelism is one
-level: the curve routines run whole estimates, one per (point, seed), on
-``workers`` threads.  Each estimate owns its substreams, so every result is
-invariant to the worker count.
+the exact block where the target error count is reached.  Within a chunk the
+messages are drawn whole; a system then yields the decoded blocks in tiles of
+``channels.TILE_ROWS``, and the estimate stops asking for tiles once the
+target is reached.  Tiles are drawn lazily on the additive channels and cut
+from one whole-chunk draw on the rayleigh channel; both consume the chunk
+substream exactly as one whole-chunk draw does, so the tiling changes no
+result.  Parallelism is one level: the curve routines run whole estimates,
+one per (point, seed), on ``workers`` threads.  Each estimate owns its
+substreams, so every result is invariant to the worker count.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -106,10 +111,10 @@ class BlerCurve:
 @dataclass(frozen=True)
 class ChannelSystem:
     """A message-in/message-out link: draw disturbances from the chunk rng,
-    return decoded message indices."""
+    yield the decoded message indices tile by tile, in message order."""
 
     message_count: int
-    run: object  # callable (messages, rng) -> decoded messages
+    run: object  # callable (messages, rng) -> iterator of decoded tiles
 
 
 def estimate_bler(system: ChannelSystem, test_ebn0_db: float, stop: StopRule,
@@ -120,8 +125,9 @@ def estimate_bler(system: ChannelSystem, test_ebn0_db: float, stop: StopRule,
     ``substream(*seed_key, i)``.  Chunks hold ``DEFAULT_CHUNK_BLOCKS`` blocks
     (the last one fewer, at ``max_blocks``), run in index order, and the
     count stops at the exact block where the target error count is reached.
-    ``workers`` has no effect: the curve routines run whole estimates in
-    parallel instead.
+    Errors are counted per decoded tile, and no tile after the one that
+    reaches the target is asked for.  ``workers`` has no effect: the curve
+    routines run whole estimates in parallel instead.
     """
     target = stop.target_block_errors
     blocks = errors = index = 0
@@ -129,13 +135,15 @@ def estimate_bler(system: ChannelSystem, test_ebn0_db: float, stop: StopRule,
         rng = substream(*seed_key, index)
         msgs = rng.integers(0, system.message_count,
                             min(DEFAULT_CHUNK_BLOCKS, stop.max_blocks - blocks))
-        cums = errors + np.cumsum(np.not_equal(system.run(msgs, rng), msgs))
-        if cums[-1] >= target:
-            blocks += int(np.searchsorted(cums, target)) + 1
-            errors = target
-        else:
-            blocks += msgs.size
-            errors = int(cums[-1])
+        for decoded in system.run(msgs, rng):
+            sent, msgs = msgs[:len(decoded)], msgs[len(decoded):]
+            wrong = np.flatnonzero(decoded != sent)
+            if errors + wrong.size >= target:
+                blocks += int(wrong[target - errors - 1]) + 1
+                errors = target
+                break
+            blocks += sent.size
+            errors += wrong.size
         index += 1
     return make_bler_point(test_ebn0_db, errors, blocks)
 
@@ -147,24 +155,26 @@ def autoencoder_system(params: nn.ModelParams,
     cb = nn.codebook(params)
 
     def run(messages, rng):
-        y, _ = channels.transmit(spec, cb[messages], rng)
-        return nn.predict(params, y)
+        for y in channels.transmit_tiles(spec, cb, messages, rng):
+            yield nn.predict(params, y)
 
     return ChannelSystem(params.message_count, run)
 
 
 def hamming_hard_system(spec: channels.ChannelSpec) -> ChannelSystem:
     def run(messages, rng):
-        y, _ = channels.transmit(spec, codecs.CODEBOOK_BPSK[messages], rng)
-        return codecs.bits_to_message(codecs.hamming_hard_decode(y))
+        for y in channels.transmit_tiles(spec, codecs.CODEBOOK_BPSK, messages,
+                                         rng):
+            yield codecs.bits_to_message(codecs.hamming_hard_decode(y))
 
     return ChannelSystem(2**codecs.K, run)
 
 
 def hamming_mld_system(spec: channels.ChannelSpec) -> ChannelSystem:
     def run(messages, rng):
-        y, _ = channels.transmit(spec, codecs.CODEBOOK_BPSK[messages], rng)
-        return codecs.hamming_mld_message(y)
+        for y in channels.transmit_tiles(spec, codecs.CODEBOOK_BPSK, messages,
+                                         rng):
+            yield codecs.hamming_mld_message(y)
 
     return ChannelSystem(2**codecs.K, run)
 
@@ -174,8 +184,8 @@ def uncoded_system(spec: channels.ChannelSpec) -> ChannelSystem:
     symbols = codecs.bpsk_map(codecs.message_to_bits(np.arange(2**codecs.K)))
 
     def run(messages, rng):
-        y, _ = channels.transmit(spec, symbols[messages], rng)
-        return codecs.bits_to_message(codecs.bpsk_demap(y))
+        for y in channels.transmit_tiles(spec, symbols, messages, rng):
+            yield codecs.bits_to_message(codecs.bpsk_demap(y))
 
     return ChannelSystem(2**codecs.K, run)
 
@@ -264,11 +274,13 @@ def _curve(system, label, train_ebn0_db, system_for, seeds, key, config,
     ``seed`` at ``db`` runs ``system_for(seed, db)`` on the chunk substreams
     ``(seed, "bler", key, db)``.  Curves that share ``key`` and a seed see
     the same messages and draws.  Each estimate owns its substreams, so
-    ``workers`` threads running them give the same curve as one.
+    ``workers`` threads running them give the same curve as one.  The tasks
+    start from the top of the grid, where estimates run longest, so that
+    no thread idles behind a long last task.
     """
     stop = StopRule(config.target_block_errors, config.max_blocks)
     grid = config.test_grid()
-    tasks = [(db, seed) for db in grid for seed in seeds]
+    tasks = [(db, seed) for db in grid for seed in seeds][::-1]
 
     def estimate(task):
         db, seed = task
@@ -280,6 +292,7 @@ def _curve(system, label, train_ebn0_db, system_for, seeds, key, config,
     else:
         with ThreadPoolExecutor(workers) as pool:
             estimates = list(pool.map(estimate, tasks))
+    estimates.reverse()  # back to grid order
     points = []
     for i, db in enumerate(grid):
         per_seed = estimates[i * len(seeds):(i + 1) * len(seeds)]

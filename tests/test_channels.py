@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from aecomm.channels import (
+    TILE_ROWS,
     ChannelSpec,
     correlation_factor,
     draw_disturbance,
     noise_variance,
     transmit,
+    transmit_tiles,
 )
 from aecomm.errors import ConfigurationError
 from aecomm.rng import substream
@@ -169,3 +171,32 @@ class TestTransmit:
         bad = np.full(7, np.nan)
         with pytest.raises(ValueError):
             transmit(spec, bad, substream(11, "n"))
+
+
+class TestTransmitTiles:
+    CODEBOOK = substream(20, "tile-codebook").standard_normal((16, 7))
+
+    @pytest.mark.parametrize("kind, rho", [("awgn", 0.0),
+                                           ("correlated_awgn", 0.9),
+                                           ("rayleigh", 0.0)])
+    def test_tiles_equal_one_whole_transmit_bit_for_bit(self, kind, rho):
+        spec = ChannelSpec(kind, 2.0, 4 / 7, rho=rho)
+        msgs = substream(21, "tile-msgs").integers(0, 16, 2500)
+        whole_rng, tiled_rng = substream(22, kind), substream(22, kind)
+        whole, _ = transmit(spec, self.CODEBOOK[msgs], whole_rng)
+        tiles = list(transmit_tiles(spec, self.CODEBOOK, msgs, tiled_rng))
+        assert [len(t) for t in tiles] == [TILE_ROWS, TILE_ROWS, 452]
+        tiled = np.concatenate(tiles)
+        assert np.array_equal(tiled.view(np.uint64), whole.view(np.uint64))
+        # both left the substream at the same place
+        assert whole_rng.random() == tiled_rng.random()
+
+    def test_additive_tiles_are_drawn_when_asked_for(self):
+        spec = ChannelSpec("awgn", 2.0, 4 / 7)
+        msgs = np.zeros(2500, dtype=np.int64)
+        rng = substream(23, "lazy")
+        first = next(transmit_tiles(spec, self.CODEBOOK, msgs, rng))
+        twin = substream(23, "lazy")
+        want, _ = transmit(spec, self.CODEBOOK[msgs[:TILE_ROWS]], twin)
+        assert np.array_equal(first, want)
+        assert rng.random() == twin.random()

@@ -77,6 +77,25 @@ class TestHardDecode:
                 decoded = codecs.hamming_hard_decode(y)
                 assert np.array_equal(decoded, codecs.CODEBOOK_BITS[m, :4]), (m, flip)
 
+    def test_all_128_words_match_syndrome_decoding(self):
+        # reference: flip the position whose parity-check column equals the
+        # syndrome, then keep the systematic bits
+        columns = {tuple(col): j for j, col in
+                   enumerate(codecs.PARITY_CHECK.T.tolist())}
+        words = (np.arange(128)[:, None] >> np.arange(6, -1, -1)) & 1
+        want = []
+        for word in words:
+            word = word.copy()
+            position = columns.get(tuple((codecs.PARITY_CHECK @ word) % 2))
+            if position is not None:
+                word[position] ^= 1
+            want.append(word[:4])
+        # exactly 0.0 slices to bit 0, like bpsk_demap
+        y = np.where(words == 1, -0.3, 0.0)
+        assert np.array_equal(codecs.hamming_hard_decode(y), want)
+        assert np.array_equal(codecs.hamming_hard_decode(y[:, None, :]),
+                              np.array(want)[:, None, :])
+
     def test_batch_shape(self):
         y = codecs.CODEBOOK_BPSK.copy()
         assert codecs.hamming_hard_decode(y).shape == (16, 4)

@@ -3,7 +3,7 @@ import pytest
 from scipy.stats import binomtest
 
 from aecomm import ExperimentConfig, codecs, harness, nn
-from aecomm.channels import ChannelSpec, transmit
+from aecomm.channels import TILE_ROWS, ChannelSpec, transmit
 from aecomm.errors import (ConfigurationError, DegenerateCodewordError,
                            DivergenceError)
 from aecomm.rng import substream
@@ -14,7 +14,7 @@ def synthetic_system(p):
 
     def run(messages, rng):
         wrong = rng.random(messages.size) < p
-        return np.where(wrong, (messages + 1) % 16, messages)
+        yield np.where(wrong, (messages + 1) % 16, messages)
 
     return harness.ChannelSystem(16, run)
 
@@ -113,7 +113,7 @@ class TestEstimateBler:
         def run(messages, rng):
             # error at even positions within the chunk
             flip = (np.arange(messages.size) + 1) % 2
-            return (messages + flip) % 16
+            yield (messages + flip) % 16
 
         system = harness.ChannelSystem(16, run)
         point = harness.estimate_bler(
@@ -167,9 +167,35 @@ def distance_mld_system(spec):
     def run(messages, rng):
         y, _ = transmit(spec, codecs.CODEBOOK_BPSK[messages], rng)
         dist = ((y[..., None, :] - codecs.CODEBOOK_BPSK) ** 2).sum(axis=-1)
-        return dist.argmin(axis=-1)
+        yield dist.argmin(axis=-1)
 
     return harness.ChannelSystem(16, run)
+
+
+def run_whole(system, messages, rng):
+    """The decoded tiles of one system.run, joined."""
+    return np.concatenate(list(system.run(messages, rng)))
+
+
+def whole_chunk_estimate(codebook, decode, spec, db, stop, seed_key):
+    """The estimator without tiles: each chunk is transmitted and decoded
+    whole, and a cumulative sum finds the block of the target error."""
+    target = stop.target_block_errors
+    blocks = errors = index = 0
+    while errors < target and blocks < stop.max_blocks:
+        rng = substream(*seed_key, index)
+        msgs = rng.integers(0, len(codebook), min(
+            harness.DEFAULT_CHUNK_BLOCKS, stop.max_blocks - blocks))
+        y, _ = transmit(spec, codebook[msgs], rng)
+        cums = errors + np.cumsum(decode(y) != msgs)
+        if cums[-1] >= target:
+            blocks += int(np.searchsorted(cums, target)) + 1
+            errors = target
+        else:
+            blocks += msgs.size
+            errors = int(cums[-1])
+        index += 1
+    return harness.make_bler_point(db, errors, blocks)
 
 
 class TestSystems:
@@ -178,20 +204,69 @@ class TestSystems:
             quick_model, ChannelSpec("awgn", np.inf, 4 / 7)
         )
         msgs = np.tile(np.arange(16), 4)
-        assert np.array_equal(system.run(msgs, substream(0, "s")), msgs)
+        assert np.array_equal(run_whole(system, msgs, substream(0, "s")), msgs)
 
     def test_hamming_systems_zero_noise_exact(self):
         spec = ChannelSpec("awgn", np.inf, 4 / 7)
         msgs = np.arange(16)
         for make in (harness.hamming_hard_system, harness.hamming_mld_system):
-            assert np.array_equal(make(spec).run(msgs, substream(1, "s")), msgs)
+            assert np.array_equal(
+                run_whole(make(spec), msgs, substream(1, "s")), msgs)
 
     def test_uncoded_system_zero_noise_exact(self):
         spec = ChannelSpec("awgn", np.inf, 1.0)
         msgs = np.arange(16)
         assert np.array_equal(
-            harness.uncoded_system(spec).run(msgs, substream(2, "s")), msgs
+            run_whole(harness.uncoded_system(spec), msgs, substream(2, "s")),
+            msgs
         )
+
+    def test_systems_yield_tiles_in_order(self):
+        spec = ChannelSpec("awgn", np.inf, 4 / 7)
+        msgs = np.arange(2500) % 16
+        tiles = list(harness.hamming_mld_system(spec).run(msgs,
+                                                          substream(3, "s")))
+        assert [len(t) for t in tiles] == [TILE_ROWS, TILE_ROWS, 452]
+        assert np.array_equal(np.concatenate(tiles), msgs)
+
+    @pytest.mark.parametrize("name, kind, db, target", [
+        ("autoencoder", "awgn", 4.0, 300),
+        ("autoencoder", "correlated_awgn", 4.0, 300),
+        ("autoencoder", "rayleigh", 8.0, 700),
+        ("hamming_hard", "awgn", 4.0, 400),
+        ("hamming_mld", "awgn", 4.0, 300),
+        ("uncoded", "awgn", 6.0, 200),
+    ])
+    def test_tiles_equal_whole_chunk_reference(self, quick_model, name, kind,
+                                               db, target):
+        rate = 1.0 if name == "uncoded" else 4 / 7
+        rho = 0.9 if kind == "correlated_awgn" else 0.0
+        spec = ChannelSpec(kind, db, rate, rho=rho)
+        system, codebook, decode = {
+            "autoencoder": (harness.autoencoder_system(quick_model, spec),
+                            nn.codebook(quick_model),
+                            lambda y: nn.predict(quick_model, y)),
+            "hamming_hard": (harness.hamming_hard_system(spec),
+                             codecs.CODEBOOK_BPSK,
+                             lambda y: codecs.bits_to_message(
+                                 codecs.hamming_hard_decode(y))),
+            "hamming_mld": (harness.hamming_mld_system(spec),
+                            codecs.CODEBOOK_BPSK, codecs.hamming_mld_message),
+            "uncoded": (harness.uncoded_system(spec),
+                        codecs.bpsk_map(codecs.message_to_bits(np.arange(16))),
+                        lambda y: codecs.bits_to_message(
+                            codecs.bpsk_demap(y))),
+        }[name]
+        stop = harness.StopRule(target, 10**6)
+        key = ("tile-ref", name, kind)
+        got = harness.estimate_bler(system, db, stop, key)
+        assert got == whole_chunk_estimate(codebook, decode, spec, db, stop,
+                                           key)
+        # the point stops inside a chunk, past its first tile
+        chunk = harness.DEFAULT_CHUNK_BLOCKS
+        assert got.block_errors == target
+        assert got.blocks % chunk > TILE_ROWS
+        assert got.blocks % TILE_ROWS != 0
 
     def test_matched_noise_pairs_hard_and_mld(self):
         # same substream key -> same messages and same noise draws
@@ -391,13 +466,47 @@ class TestWorkers:
         monkeypatch.setattr(harness.channels, "transmit", counting)
         curves = harness.baseline_curves(config, workers=3)
         chunk = harness.DEFAULT_CHUNK_BLOCKS
-        needed = [min(config.max_blocks, chunk * -(-p.blocks // chunk))
+        needed = [self.rows_needed(p.blocks, config.max_blocks, TILE_ROWS)
                   for c in curves for p in c.points]
         # a point that stops at its target after the first chunk, where
-        # chunks run ahead of the stop would be discarded
+        # chunks run ahead of the stop would be discarded, and inside a tile
         assert any(p.block_errors == 50 and p.blocks > chunk
+                   and p.blocks % TILE_ROWS
                    for c in curves for p in c.points)
         assert sum(rows) == sum(needed)
+
+    def test_rayleigh_chunks_are_drawn_whole(self, monkeypatch, quick_model):
+        config = reduced_config(test_ebn0_start=4.0, test_ebn0_stop=8.0,
+                                test_ebn0_step=4.0, max_blocks=50_000)
+        rows = []
+
+        def counting(spec, x, rng):
+            rows.append((spec.kind, x.shape[0]))
+            return transmit(spec, x, rng)
+
+        monkeypatch.setattr(harness.channels, "transmit", counting)
+        awgn, rayleigh = harness.robustness_probe(
+            quick_model, config, 7.0, seed=0, rhos=(), workers=2)
+        for curve, kind, tile in ((awgn, "awgn", TILE_ROWS),
+                                  (rayleigh, "rayleigh",
+                                   harness.DEFAULT_CHUNK_BLOCKS)):
+            assert sum(n for k, n in rows if k == kind) == sum(
+                self.rows_needed(p.blocks, config.max_blocks, tile)
+                for p in curve.points)
+        # the rayleigh points stop early in their first chunk, where slicing
+        # a lazy draw would have transmitted fewer rows
+        assert all(p.block_errors == 50
+                   and p.blocks < harness.DEFAULT_CHUNK_BLOCKS - TILE_ROWS
+                   for p in rayleigh.points)
+
+    @staticmethod
+    def rows_needed(blocks, max_blocks, tile):
+        """Rows transmitted for a point of ``blocks``: whole chunks up to
+        the last one, then whole tiles of that chunk up to the stop."""
+        chunk = harness.DEFAULT_CHUNK_BLOCKS
+        before = (blocks - 1) // chunk * chunk
+        last = min(chunk, max_blocks - before)
+        return before + min(last, tile * -(-(blocks - before) // tile))
 
 
 class TestSubstreamKeys:
