@@ -108,11 +108,10 @@ def draw_disturbance(spec: ChannelSpec, shape, rng: np.random.Generator):
 
 
 def transmit(spec: ChannelSpec, x: np.ndarray, rng: np.random.Generator):
-    """Pass codewords through the channel.
+    """Pass codewords through the channel and return the received words.
 
-    ``x`` has shape (n,) or (batch, n).  Returns ``(y, fade)``; ``fade`` is
-    None unless the kind is rayleigh, in which case y = fade * x + noise with
-    the fade applied per block.  The receiver is not given the fade.
+    ``x`` has shape (n,) or (batch, n).  On the rayleigh kind y = fade * x +
+    noise with one fade per block; the receiver is not given the fade.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
@@ -120,8 +119,8 @@ def transmit(spec: ChannelSpec, x: np.ndarray, rng: np.random.Generator):
     noise, fade = draw_disturbance(spec, x.shape, rng)
     if fade is None:
         noise += x  # the fresh noise buffer becomes y; x is left untouched
-        return noise, None
-    return fade[..., None] * x + noise, fade
+        return noise
+    return fade[..., None] * x + noise
 
 
 def transmit_tiles(spec: ChannelSpec, codebook, messages, rng):
@@ -136,10 +135,9 @@ def transmit_tiles(spec: ChannelSpec, codebook, messages, rng):
     """
     starts = range(0, len(messages), TILE_ROWS)
     if spec.kind == "rayleigh":
-        y, _ = transmit(spec, codebook[messages], rng)
+        y = transmit(spec, codebook[messages], rng)
         for start in starts:
             yield y[start:start + TILE_ROWS]
         return
     for start in starts:
-        y, _ = transmit(spec, codebook[messages[start:start + TILE_ROWS]], rng)
-        yield y
+        yield transmit(spec, codebook[messages[start:start + TILE_ROWS]], rng)

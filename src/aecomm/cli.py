@@ -10,6 +10,7 @@ sha256 digest per emitted file.
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -111,10 +112,10 @@ def _parse_db_list(text):
     try:
         values = tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
+        values = ()
+    if not values or not all(map(math.isfinite, values)):
         raise ConfigurationError(
-            f"--test-db: expected comma-separated dB values, got {text!r}")
-    if not values:
-        raise ConfigurationError("--test-db: empty list")
+            f"--test-db: expected a list of finite dB values, got {text!r}")
     return values
 
 
@@ -128,6 +129,9 @@ def _worker_count(text):
 # -- subcommands --------------------------------------------------------------
 
 def _cmd_overlap(run, args, config):
+    if not math.isfinite(args.train_db):
+        raise ConfigurationError(
+            f"--train-db: expected a finite dB value, got {args.train_db}")
     tests = _parse_db_list(args.test_db)
     rows = harness.overlap_table(args.train_db, tests, config.rate)
     for row in rows:

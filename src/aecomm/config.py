@@ -72,6 +72,8 @@ class ExperimentConfig:
                 "entries must be finite")
         require(len(set(self.train_ebn0_db)) == len(self.train_ebn0_db),
                 "train_ebn0_db", "entries must not repeat")
+        for key in ("test_ebn0_start", "test_ebn0_stop", "test_ebn0_step"):
+            require(np.isfinite(getattr(self, key)), key, "must be finite")
         require(self.test_ebn0_step > 0, "test_ebn0_step", "must be positive")
         require(self.test_ebn0_start <= self.test_ebn0_stop, "test_ebn0_start",
                 "must not exceed test_ebn0_stop")

@@ -1,23 +1,23 @@
 """Experiment orchestration: training runs, Monte Carlo BLER with stopping
 rules and Wilson intervals, the train/test generalization sweep, the overlap
-table, the capacity (width) probe, and the channel-mismatch probe.
+table, the capacity (width) probe, the channel-mismatch probe, and the CSVs.
 
 Determinism contract: every random draw comes from a substream named by
 (seed, purpose, operating point[, chunk index]).  One BLER estimate walks
 fixed-size chunks in index order, each on its own substream, and stops at
 the exact block where the target error count is reached.  Within a chunk the
-messages are drawn whole; a system then yields the decoded blocks in tiles of
-``channels.TILE_ROWS``, and the estimate stops asking for tiles once the
-target is reached.  Tiles are drawn lazily on the additive channels and cut
-from one whole-chunk draw on the rayleigh channel; both consume the chunk
-substream exactly as one whole-chunk draw does, so the tiling changes no
-result.  Parallelism is one level: the curve routines run whole estimates,
-one per (point, seed), on ``workers`` threads.  Each estimate owns its
-substreams, so every result is invariant to the worker count.
+messages are drawn whole.  Each system is one link: ``transmit_tiles`` sends
+their codewords in tiles of ``channels.TILE_ROWS`` rows, bit-identical to one
+whole-chunk draw, and a decoder maps each tile back to message indices; the
+estimate asks for no tile after the one that reaches the target.
+Parallelism is one level: the curve routines run whole estimates, one per
+(point, seed), on ``workers`` threads.  Each estimate owns its substreams,
+so every result is invariant to the worker count.  The CSVs write a float
+as its repr, an int as str, and a missing value as an empty field.
 """
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
@@ -150,44 +150,39 @@ def estimate_bler(system: ChannelSystem, test_ebn0_db: float, stop: StopRule,
 
 # -- systems ------------------------------------------------------------------
 
-def autoencoder_system(params: nn.ModelParams,
-                       spec: channels.ChannelSpec) -> ChannelSystem:
-    cb = nn.codebook(params)
+def _link(spec: channels.ChannelSpec, codebook, decode) -> ChannelSystem:
+    """Send ``codebook[messages]`` through ``spec`` tile by tile and yield
+    ``decode`` of each received tile.  The decoders below look their
+    functions up on the module at call time, so a wrapper installed on the
+    module attribute sees every tile."""
 
     def run(messages, rng):
-        for y in channels.transmit_tiles(spec, cb, messages, rng):
-            yield nn.predict(params, y)
+        for y in channels.transmit_tiles(spec, codebook, messages, rng):
+            yield decode(y)
 
-    return ChannelSystem(params.message_count, run)
+    return ChannelSystem(len(codebook), run)
+
+
+def autoencoder_system(params: nn.ModelParams,
+                       spec: channels.ChannelSpec) -> ChannelSystem:
+    return _link(spec, nn.codebook(params), lambda y: nn.predict(params, y))
 
 
 def hamming_hard_system(spec: channels.ChannelSpec) -> ChannelSystem:
-    def run(messages, rng):
-        for y in channels.transmit_tiles(spec, codecs.CODEBOOK_BPSK, messages,
-                                         rng):
-            yield codecs.bits_to_message(codecs.hamming_hard_decode(y))
-
-    return ChannelSystem(2**codecs.K, run)
+    return _link(spec, codecs.CODEBOOK_BPSK, lambda y: codecs.bits_to_message(
+        codecs.hamming_hard_decode(y)))
 
 
 def hamming_mld_system(spec: channels.ChannelSpec) -> ChannelSystem:
-    def run(messages, rng):
-        for y in channels.transmit_tiles(spec, codecs.CODEBOOK_BPSK, messages,
-                                         rng):
-            yield codecs.hamming_mld_message(y)
-
-    return ChannelSystem(2**codecs.K, run)
+    return _link(spec, codecs.CODEBOOK_BPSK,
+                 lambda y: codecs.hamming_mld_message(y))
 
 
 def uncoded_system(spec: channels.ChannelSpec) -> ChannelSystem:
     """4 info bits sent as 4 BPSK uses at per-info-bit energy Eb (rate 1)."""
     symbols = codecs.bpsk_map(codecs.message_to_bits(np.arange(2**codecs.K)))
-
-    def run(messages, rng):
-        for y in channels.transmit_tiles(spec, symbols, messages, rng):
-            yield codecs.bits_to_message(codecs.bpsk_demap(y))
-
-    return ChannelSystem(2**codecs.K, run)
+    return _link(spec, symbols, lambda y: codecs.bits_to_message(
+        codecs.bpsk_demap(y)))
 
 
 # -- training -----------------------------------------------------------------
@@ -469,17 +464,29 @@ SWEEP_CSV_HEADER = ("system,label,train_ebn0_db,test_ebn0_db,blocks,"
                     "block_errors,bler,ci_low,ci_high,seed_count")
 
 
-def sweep_to_csv(curves) -> str:
-    lines = [SWEEP_CSV_HEADER]
-    for curve in curves:
-        train = "" if curve.train_ebn0_db is None else repr(curve.train_ebn0_db)
-        for p in curve.points:
-            lines.append(",".join([
-                curve.system, curve.label, train, repr(p.test_ebn0_db),
-                str(p.blocks), str(p.block_errors), repr(p.bler),
-                repr(p.ci_low), repr(p.ci_high), str(curve.seed_count),
-            ]))
+def _field(value) -> str:
+    if value is None:
+        return ""
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _csv(header: str, rows) -> str:
+    """The CSV text of ``rows``: a float is written as its repr, an int or
+    string as str, and None as an empty field."""
+    lines = [header]
+    lines += [",".join(map(_field, row)) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def _sweep_row(curve: BlerCurve, p: BlerPoint) -> tuple:
+    return (curve.system, curve.label, curve.train_ebn0_db, p.test_ebn0_db,
+            p.blocks, p.block_errors, p.bler, p.ci_low, p.ci_high,
+            curve.seed_count)
+
+
+def sweep_to_csv(curves) -> str:
+    return _csv(SWEEP_CSV_HEADER,
+                [_sweep_row(c, p) for c in curves for p in c.points])
 
 
 _CLOSED_FORMS = {
@@ -491,36 +498,26 @@ _CLOSED_FORMS = {
 def baseline_to_csv(curves) -> str:
     """Sweep schema plus a closed_form_bler column (empty where no closed
     form exists, e.g. MLD)."""
-    header, *rows = sweep_to_csv(curves).splitlines()
-    lines = [header + ",closed_form_bler"]
-    points = [(_CLOSED_FORMS.get(c.system), p) for c in curves for p in c.points]
-    for row, (closed, p) in zip(rows, points):
-        reference = "" if closed is None else repr(closed(p.test_ebn0_db))
-        lines.append(f"{row},{reference}")
-    return "\n".join(lines) + "\n"
+    rows = []
+    for curve in curves:
+        closed = _CLOSED_FORMS.get(curve.system)
+        for p in curve.points:
+            reference = None if closed is None else closed(p.test_ebn0_db)
+            rows.append(_sweep_row(curve, p) + (reference,))
+    return _csv(SWEEP_CSV_HEADER + ",closed_form_bler", rows)
 
 
 def overlap_to_csv(rows) -> str:
-    lines = ["test_ebn0_db,overlap_pct,kl_nats"]
-    for row in rows:
-        lines.append(f"{row.test_ebn0_db!r},{row.overlap_pct!r},"
-                     f"{row.kl_nats!r}")
-    return "\n".join(lines) + "\n"
+    return _csv("test_ebn0_db,overlap_pct,kl_nats", map(astuple, rows))
 
 
 def width_sweep_to_csv(rows) -> str:
-    lines = ["decoder_hidden,train_loss,test_loss,parameter_count"]
-    for row in rows:
-        lines.append(f"{row.decoder_hidden},{row.train_loss!r},"
-                     f"{row.test_loss!r},{row.parameter_count}")
-    return "\n".join(lines) + "\n"
+    return _csv("decoder_hidden,train_loss,test_loss,parameter_count",
+                map(astuple, rows))
 
 
 def history_to_csv(history: TrainingHistory) -> str:
-    lines = ["step,loss"]
-    for step, loss in zip(history.steps, history.losses):
-        lines.append(f"{step},{loss!r}")
-    return "\n".join(lines) + "\n"
+    return _csv("step,loss", zip(history.steps, history.losses))
 
 
 PLOT_SCRIPT = '''\

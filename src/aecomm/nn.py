@@ -36,9 +36,6 @@ class NetworkLayout:
     decoder_sizes: tuple = (7, 16, 16)
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> "NetworkLayout":
         m, n = self.message_count, self.channel_uses
         if m < 1 or m & (m - 1):
             raise ConfigurationError(f"message_count {m} is not a power of two")
@@ -55,7 +52,6 @@ class NetworkLayout:
                 raise ConfigurationError(
                     f"{name} sizes {tuple(sizes)} must run from {first} to "
                     f"{last}")
-        return self
 
     @property
     def block_bits(self) -> int:
@@ -133,20 +129,11 @@ class ModelParams:
         return self.layout.message_count
 
     @property
-    def block_bits(self) -> int:
-        return self.layout.block_bits
-
-    @property
     def channel_uses(self) -> int:
         return self.layout.channel_uses
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.layout, self.flat.copy())
-
-    def arrays(self):
-        """All weight/bias arrays in a fixed order (encoder first)."""
-        return [a for layer in self.encoder + self.decoder
-                for a in (layer.weight, layer.bias)]
 
     def all_finite(self) -> bool:
         return bool(np.isfinite(self.flat).all())
@@ -164,10 +151,6 @@ def init_params(layout: NetworkLayout, seed: int) -> ModelParams:
         layer.weight[...] = rng.normal(0.0, 1.0 / np.sqrt(fan_in),
                                        layer.weight.shape)
     return params
-
-
-def zeros_like_params(params: ModelParams) -> ModelParams:
-    return ModelParams(params.layout, np.zeros_like(params.flat))
 
 
 def _forward_stack(layers, inputs):
@@ -228,19 +211,9 @@ def codebook(params: ModelParams) -> np.ndarray:
     return x
 
 
-def encode(params: ModelParams, message: int) -> np.ndarray:
-    """Energy-normalized codeword for one message index.
-
-    Computed through the same batched path as codebook(), so the two agree
-    bitwise.
-    """
-    m = params.message_count
-    if not 0 <= message < m:
-        raise ValueError(f"message {message} out of range [0, {m})")
-    return codebook(params)[int(message)].copy()
-
-
-def _checked_received(params, received):
+def predict(params: ModelParams, received) -> np.ndarray:
+    """Argmax message index; accepts (n,) or (batch, n); lowest index wins
+    ties."""
     received = np.asarray(received, dtype=float)
     if received.shape[-1] != params.channel_uses:
         raise ValueError(
@@ -248,19 +221,6 @@ def _checked_received(params, received):
         )
     if not np.all(np.isfinite(received)):
         raise ValueError("decode input must be finite")
-    return received
-
-
-def decode(params: ModelParams, received) -> np.ndarray:
-    """Softmax posterior over messages; accepts (n,) or (batch, n)."""
-    received = _checked_received(params, received)
-    logits, _ = _forward_stack(params.decoder, received)
-    return _softmax(logits)
-
-
-def predict(params: ModelParams, received) -> np.ndarray:
-    """Argmax message index; lowest index wins ties."""
-    received = _checked_received(params, received)
     logits, _ = _forward_stack(params.decoder, received)
     return np.argmax(logits, axis=-1)
 
@@ -333,7 +293,7 @@ def finite_difference_gradients(params, messages, noise, fade=None,
     independent oracle for loss_and_gradients_given.
     """
     work = params.copy()
-    grads = zeros_like_params(params)
+    grads = ModelParams(params.layout, np.zeros_like(params.flat))
     for i in range(work.flat.size):
         saved = work.flat[i]
         work.flat[i] = saved + step

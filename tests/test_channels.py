@@ -132,8 +132,8 @@ class TestTransmit:
     def test_awgn_additive(self):
         spec = ChannelSpec("awgn", 3.0, 4 / 7)
         x = substream(5, "cw").standard_normal((64, 7))
-        noise, _ = draw_disturbance(spec, (64, 7), substream(6, "n"))
-        y, fade = transmit(spec, x, substream(6, "n"))
+        noise, fade = draw_disturbance(spec, (64, 7), substream(6, "n"))
+        y = transmit(spec, x, substream(6, "n"))
         assert fade is None
         assert np.array_equal(y, x + noise)
 
@@ -143,7 +143,7 @@ class TestTransmit:
         x = substream(12, "cw").standard_normal((500, 7))
         x_before = x.copy()
         z = substream(13, "n").standard_normal((500, 7))
-        y, _ = transmit(spec, x, substream(13, "n"))
+        y = transmit(spec, x, substream(13, "n"))
         assert np.array_equal(y, x_before + np.sqrt(spec.sigma2) * z)
         assert np.array_equal(x, x_before)
         assert not np.shares_memory(y, x)
@@ -151,19 +151,21 @@ class TestTransmit:
     def test_zero_noise_sentinel_passes_through(self):
         spec = ChannelSpec("awgn", np.inf, 4 / 7)
         x = substream(7, "cw").standard_normal((16, 7))
-        y, _ = transmit(spec, x, substream(8, "n"))
+        y = transmit(spec, x, substream(8, "n"))
         assert np.array_equal(y, x)
 
     def test_rayleigh_scales_blocks(self):
         spec = ChannelSpec("rayleigh", np.inf, 4 / 7)
         x = np.ones((32, 7))
-        y, fade = transmit(spec, x, substream(9, "n"))
+        # the fade from a twin substream: sigma = 0, so y is the fade alone
+        _, fade = draw_disturbance(spec, (32, 7), substream(9, "n"))
+        y = transmit(spec, x, substream(9, "n"))
         assert fade.shape == (32,)
-        assert np.allclose(y, fade[:, None])
+        assert np.array_equal(y, np.repeat(fade[:, None], 7, axis=1))
 
     def test_single_vector_shape(self):
         spec = ChannelSpec("awgn", 7.0, 4 / 7)
-        y, _ = transmit(spec, np.ones(7), substream(10, "n"))
+        y = transmit(spec, np.ones(7), substream(10, "n"))
         assert y.shape == (7,)
 
     def test_nonfinite_input_rejected(self):
@@ -183,7 +185,7 @@ class TestTransmitTiles:
         spec = ChannelSpec(kind, 2.0, 4 / 7, rho=rho)
         msgs = substream(21, "tile-msgs").integers(0, 16, 2500)
         whole_rng, tiled_rng = substream(22, kind), substream(22, kind)
-        whole, _ = transmit(spec, self.CODEBOOK[msgs], whole_rng)
+        whole = transmit(spec, self.CODEBOOK[msgs], whole_rng)
         tiles = list(transmit_tiles(spec, self.CODEBOOK, msgs, tiled_rng))
         assert [len(t) for t in tiles] == [TILE_ROWS, TILE_ROWS, 452]
         tiled = np.concatenate(tiles)
@@ -197,6 +199,6 @@ class TestTransmitTiles:
         rng = substream(23, "lazy")
         first = next(transmit_tiles(spec, self.CODEBOOK, msgs, rng))
         twin = substream(23, "lazy")
-        want, _ = transmit(spec, self.CODEBOOK[msgs[:TILE_ROWS]], twin)
+        want = transmit(spec, self.CODEBOOK[msgs[:TILE_ROWS]], twin)
         assert np.array_equal(first, want)
         assert rng.random() == twin.random()

@@ -98,6 +98,35 @@ class TestExitCodes:
         assert code == 1
         assert "--test-db" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("test_ebn0_stop", "inf"), ("test_ebn0_start", "-inf"),
+        ("test_ebn0_step", "inf"),
+    ])
+    def test_nonfinite_test_grid_names_file_and_line(self, tmp_path, capsys,
+                                                     key, value):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"[sweep]\n{key} = {value}\n")
+        out = tmp_path / "run"
+        code = run_command(["baseline", "--config", str(bad),
+                            "--out", str(out)])
+        assert code == 1
+        assert (capsys.readouterr().err
+                == f"error: {bad}: line 2: {key}: must be finite\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--test-db", "inf"), ("--test-db", "0,-inf"), ("--test-db", "nan"),
+        ("--train-db", "inf"), ("--train-db", "-inf"), ("--train-db", "nan"),
+    ])
+    def test_overlap_rejects_nonfinite_db(self, tmp_path, capsys, flag,
+                                          value):
+        # the overlap with a noise-free distribution is undefined
+        out = tmp_path / "run"
+        code = run_command(["overlap", f"{flag}={value}", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+        assert not out.exists()
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_command(["--version"])
@@ -170,8 +199,7 @@ class TestTrain:
         assert ckpt.exists()
         params = nn.load_checkpoint(str(ckpt))
         want, _ = harness.train_autoencoder(load_config(cfg), 7.0, 0)
-        for a, b in zip(params.arrays(), want.arrays()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(params.flat, want.flat)
         history = (out / "model_train+7dB_seed0_history.csv").read_text()
         assert history.splitlines()[0] == "step,loss"
         assert history.splitlines()[-1].startswith("120,")
@@ -181,6 +209,14 @@ class TestTrain:
             "model_train+7dB_seed0_history.csv", "config.cfg"}
         for name, digest in manifest["outputs"].items():
             assert file_digest(out / name) == digest
+
+    def test_infinite_train_db_is_the_zero_noise_sentinel(self, tmp_path):
+        # only the overlap rejects +inf; training takes it as sigma = 0
+        out = tmp_path / "run"
+        cfg = quick_cfg(tmp_path, steps=20)
+        assert run_command(["train", "--config", cfg, "--train-db", "inf",
+                            "--quiet", "--out", str(out)]) == 0
+        assert (out / "model_train+infdB_seed0.ckpt").exists()
 
     def test_seed_override_changes_manifest_and_stem(self, tmp_path):
         out = tmp_path / "run"

@@ -121,6 +121,14 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="test_ebn0_start"):
             ExperimentConfig(test_ebn0_start=9.0, test_ebn0_stop=8.0).validate()
 
+    @pytest.mark.parametrize("key", ["test_ebn0_start", "test_ebn0_stop",
+                                     "test_ebn0_step"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_nonfinite_test_grid_rejected(self, key, value):
+        # an infinite grid bound or step has no finite grid to run
+        with pytest.raises(ConfigurationError, match=f"^{key}: must be finite$"):
+            ExperimentConfig(**{key: value})
+
     def test_empty_seeds(self):
         with pytest.raises(ConfigurationError, match="seeds"):
             ExperimentConfig(seeds=()).validate()
@@ -152,8 +160,14 @@ INVALID_FILES = [
     ("[seeds]\nseeds = 0, 0\n", 2, r"seeds: entries must not repeat"),
     ("# probe\n[channel]\nkind = awgn\nrho = 1.5\n", 4,
      r"rho: must be in \[0, 1\), got 1\.5"),
+    ("[sweep]\ntest_ebn0_start = 0\ntest_ebn0_stop = inf\n", 3,
+     r"test_ebn0_stop: must be finite"),
+    ("[sweep]\ntest_ebn0_start = -inf\n", 2,
+     r"test_ebn0_start: must be finite"),
+    ("[sweep]\ntest_ebn0_step = inf\n", 2, r"test_ebn0_step: must be finite"),
 ]
-INVALID_IDS = ["repeated-seeds", "rho-out-of-range"]
+INVALID_IDS = ["repeated-seeds", "rho-out-of-range", "stop-inf", "start-inf",
+               "step-inf"]
 
 
 class TestValidationNamesLine:

@@ -165,7 +165,7 @@ def distance_mld_system(spec):
     ties; the reference for the correlation decoder."""
 
     def run(messages, rng):
-        y, _ = transmit(spec, codecs.CODEBOOK_BPSK[messages], rng)
+        y = transmit(spec, codecs.CODEBOOK_BPSK[messages], rng)
         dist = ((y[..., None, :] - codecs.CODEBOOK_BPSK) ** 2).sum(axis=-1)
         yield dist.argmin(axis=-1)
 
@@ -186,7 +186,7 @@ def whole_chunk_estimate(codebook, decode, spec, db, stop, seed_key):
         rng = substream(*seed_key, index)
         msgs = rng.integers(0, len(codebook), min(
             harness.DEFAULT_CHUNK_BLOCKS, stop.max_blocks - blocks))
-        y, _ = transmit(spec, codebook[msgs], rng)
+        y = transmit(spec, codebook[msgs], rng)
         cums = errors + np.cumsum(decode(y) != msgs)
         if cums[-1] >= target:
             blocks += int(np.searchsorted(cums, target)) + 1
@@ -321,16 +321,14 @@ class TestTraining:
             nn.default_layout(config.message_count, config.channel_uses,
                               config.decoder_hidden), 3
         )
-        for a, b in zip(params.arrays(), init.arrays()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(params.flat, init.flat)
         assert history.steps == []
 
     def test_deterministic_trajectory(self):
         config = reduced_config(steps=300)
         a, _ = harness.train_autoencoder(config, 0.0, 5)
         b, _ = harness.train_autoencoder(config, 0.0, 5)
-        for x, y in zip(a.arrays(), b.arrays()):
-            assert np.array_equal(x, y)
+        assert np.array_equal(a.flat, b.flat)
 
     def test_seeds_differ_but_both_work(self):
         config = reduced_config(steps=800)
@@ -726,6 +724,55 @@ class TestEmitters:
         lines = harness.width_sweep_to_csv(rows).splitlines()
         assert lines[0] == "decoder_hidden,train_loss,test_loss,parameter_count"
         assert lines[1] == "4,0.5,0.6,123"
+
+    # hand-built rows: floats in repr form (0.1, 1e-05), an empty train
+    # column on the baseline curves and an empty closed form for MLD
+    AE = harness.BlerCurve("autoencoder", "ae-train+7dB", 7.0, 3, [
+        harness.BlerPoint(0.1, 100000, 1, 1e-05, 1.5e-06, 6e-05),
+        harness.BlerPoint(4.5, 2000, 200, 0.1, 0.0875, 0.114)])
+    HARD = harness.BlerCurve("hamming_hard", "hamming-hard", None, 1, [
+        harness.BlerPoint(4.0, 20000, 200, 0.01, 0.0087, 0.0115)])
+    MLD = harness.BlerCurve("hamming_mld", "hamming-mld", None, 1, [
+        harness.BlerPoint(-4.0, 250, 200, 0.8, 0.75, 0.84)])
+
+    def test_sweep_csv_bytes(self):
+        assert harness.sweep_to_csv([self.AE, self.MLD]) == (
+            "system,label,train_ebn0_db,test_ebn0_db,blocks,block_errors,"
+            "bler,ci_low,ci_high,seed_count\n"
+            "autoencoder,ae-train+7dB,7.0,0.1,100000,1,1e-05,1.5e-06,6e-05,3\n"
+            "autoencoder,ae-train+7dB,7.0,4.5,2000,200,0.1,0.0875,0.114,3\n"
+            "hamming_mld,hamming-mld,,-4.0,250,200,0.8,0.75,0.84,1\n")
+
+    def test_baseline_csv_bytes(self):
+        closed = codecs.hamming_hard_bler_closed_form(4.0)
+        assert type(closed) is float
+        assert harness.baseline_to_csv([self.HARD, self.MLD]) == (
+            "system,label,train_ebn0_db,test_ebn0_db,blocks,block_errors,"
+            "bler,ci_low,ci_high,seed_count,closed_form_bler\n"
+            f"hamming_hard,hamming-hard,,4.0,20000,200,0.01,0.0087,0.0115,1,"
+            f"{closed!r}\n"
+            "hamming_mld,hamming-mld,,-4.0,250,200,0.8,0.75,0.84,1,\n")
+
+    def test_overlap_csv_bytes(self):
+        rows = [harness.OverlapRow(-4.0, 0.1, 1e-05),
+                harness.OverlapRow(7.0, 100.0, 0.0)]
+        assert harness.overlap_to_csv(rows) == (
+            "test_ebn0_db,overlap_pct,kl_nats\n-4.0,0.1,1e-05\n"
+            "7.0,100.0,0.0\n")
+
+    def test_width_csv_bytes(self):
+        rows = [harness.WidthSweepRow(4, 0.1, 1e-05, 123),
+                harness.WidthSweepRow(32, 2.5, 0.30000000000000004, 1207)]
+        assert harness.width_sweep_to_csv(rows) == (
+            "decoder_hidden,train_loss,test_loss,parameter_count\n"
+            "4,0.1,1e-05,123\n32,2.5,0.30000000000000004,1207\n")
+
+    def test_history_csv_bytes(self):
+        history = harness.TrainingHistory()
+        for step, loss in ((100, 0.1), (200, 1e-05), (250, 2.0)):
+            history.record(step, loss)
+        assert harness.history_to_csv(history) == (
+            "step,loss\n100,0.1\n200,1e-05\n250,2.0\n")
 
     def test_plot_script_mentions_no_network(self):
         text = harness.PLOT_SCRIPT

@@ -17,6 +17,16 @@ def small_batch(params, size=4, sigma=0.4, key=0):
     return messages, noise
 
 
+def layer_arrays(params):
+    """Every layer's weight and bias view, in checkpoint order."""
+    return [a for layer in params.encoder + params.decoder
+            for a in (layer.weight, layer.bias)]
+
+
+def zeros_twin(params):
+    return nn.ModelParams(params.layout, np.zeros_like(params.flat))
+
+
 def fitted_decoder(params, scale=None):
     """A copy whose decoder maps every clean codeword to its message with a
     large logit margin: hidden_j = scale * <y, c_j>, logits = hidden."""
@@ -39,8 +49,7 @@ class TestInit:
     def test_deterministic(self):
         a = nn.init_params(nn.default_layout(), 42)
         b = nn.init_params(nn.default_layout(), 42)
-        for x, y in zip(a.arrays(), b.arrays()):
-            assert np.array_equal(x, y)
+        assert np.array_equal(a.flat, b.flat)
 
     def test_seeds_differ(self):
         a = nn.init_params(nn.default_layout(), 1)
@@ -79,9 +88,9 @@ class TestInit:
 
 class TestEncode:
     def test_energy_constraint_all_messages(self, quick_model):
-        for m in range(16):
-            x = nn.encode(quick_model, m)
-            assert abs((x**2).sum() - 7.0) <= 1e-9
+        norms = (nn.codebook(quick_model) ** 2).sum(axis=1)
+        assert norms.shape == (16,)
+        assert np.all(np.abs(norms - 7.0) <= 1e-9)
 
     def test_energy_constraint_at_init(self):
         params = nn.init_params(nn.default_layout(), 11)
@@ -89,41 +98,43 @@ class TestEncode:
         assert np.all(np.abs(norms - 7.0) <= 1e-9)
 
     def test_deterministic(self, quick_model):
-        assert np.array_equal(nn.encode(quick_model, 5), nn.encode(quick_model, 5))
-
-    def test_message_out_of_range(self, quick_model):
-        with pytest.raises(ValueError):
-            nn.encode(quick_model, 16)
-        with pytest.raises(ValueError):
-            nn.encode(quick_model, -1)
+        assert np.array_equal(nn.codebook(quick_model), nn.codebook(quick_model))
 
     def test_degenerate_zero_output(self):
         params = nn.init_params(nn.default_layout(), 0)
         for layer in params.encoder:
             layer.weight[...] = 0.0
         with pytest.raises(DegenerateCodewordError):
-            nn.encode(params, 0)
+            nn.codebook(params)
 
-    def test_codebook_matches_encode(self, quick_model):
+    def test_codebook_matches_written_out_encoder(self, quick_model):
+        # row m is sqrt(7) z / ||z|| for z = relu(e_m W1 + b1) W2 + b2
+        hidden, output = quick_model.encoder
+        z = (np.maximum(hidden.weight + hidden.bias, 0.0) @ output.weight
+             + output.bias)
+        want = np.sqrt(7.0) * z / np.linalg.norm(z, axis=1, keepdims=True)
         cb = nn.codebook(quick_model)
         assert cb.shape == (16, 7)
-        for m in (0, 7, 15):
-            assert np.array_equal(cb[m], nn.encode(quick_model, m))
+        assert np.allclose(cb, want, rtol=0, atol=1e-12)
 
 
 class TestDecode:
     def test_posterior_sums_to_one(self, quick_model):
-        y = substream(1, "dec").standard_normal((40, 7))
-        probs = nn.decode(quick_model, y)
-        assert np.all(probs >= 0)
-        assert np.all(np.abs(probs.sum(axis=-1) - 1.0) <= 1e-12)
+        # the loss of a one-block batch is -log of its message's posterior;
+        # at one received word y the 16 posteriors sum to one
+        cb = nn.codebook(quick_model)
+        for y in substream(1, "dec").standard_normal((8, 7)):
+            posterior = [np.exp(-nn.loss_given_disturbance(
+                quick_model, [m], (y - cb[m])[None])) for m in range(16)]
+            assert abs(sum(posterior) - 1.0) <= 1e-12
 
     def test_zero_decoder_gives_uniform(self):
         params = nn.init_params(nn.default_layout(), 0)
         for layer in params.decoder:
             layer.weight[...] = 0.0
-        probs = nn.decode(params, np.ones(7))
-        assert np.allclose(probs, 1.0 / 16, atol=1e-15)
+        noise = substream(4, "dec").standard_normal((16, 7))
+        loss = nn.loss_given_disturbance(params, np.arange(16), noise)
+        assert loss == pytest.approx(np.log(16.0), rel=0, abs=1e-15)
 
     def test_predict_tie_break_lowest_index(self):
         params = nn.init_params(nn.default_layout(), 0)
@@ -133,7 +144,9 @@ class TestDecode:
 
     def test_nonfinite_input_rejected(self, quick_model):
         with pytest.raises(ValueError):
-            nn.decode(quick_model, np.full(7, np.nan))
+            nn.predict(quick_model, np.full(7, np.nan))
+        with pytest.raises(ValueError):
+            nn.predict(quick_model, np.ones((3, 6)))
 
     def test_noiseless_round_trip(self, quick_model):
         cb = nn.codebook(quick_model)
@@ -147,12 +160,6 @@ class TestDecode:
         hidden, output = quick_model.decoder
         logits = np.maximum(y @ hidden.weight + hidden.bias, 0.0) @ output.weight + output.bias
         assert np.array_equal(nn.predict(quick_model, y), np.argmax(logits, axis=-1))
-
-    def test_predict_matches_decode_argmax(self, quick_model):
-        y = substream(2, "dec").standard_normal((64, 7))
-        assert np.array_equal(
-            nn.predict(quick_model, y), np.argmax(nn.decode(quick_model, y), axis=-1)
-        )
 
 
 class TestLossAndGradients:
@@ -180,8 +187,7 @@ class TestLossAndGradients:
         loss_a, grads_a = nn.loss_and_gradients_given(params, messages, noise)
         loss_b, grads_b = nn.loss_and_gradients_given(params, doubled_m, doubled_n)
         assert loss_a == pytest.approx(loss_b, rel=1e-12)
-        for ga, gb in zip(grads_a.arrays(), grads_b.arrays()):
-            assert np.allclose(ga, gb, atol=1e-12)
+        assert np.allclose(grads_a.flat, grads_b.flat, atol=1e-12)
 
     def test_interpolation_loss_near_zero(self, quick_model):
         fitted = fitted_decoder(quick_model)
@@ -217,9 +223,8 @@ class TestAdam:
     def test_zero_gradient_fixed_point(self):
         params = nn.init_params(nn.default_layout(), 6)
         state = nn.AdamState.for_params(params)
-        updated, new_state = nn.adam_step(params, nn.zeros_like_params(params), state)
-        for a, b in zip(params.arrays(), updated.arrays()):
-            assert np.array_equal(a, b)
+        updated, new_state = nn.adam_step(params, zeros_twin(params), state)
+        assert np.array_equal(params.flat, updated.flat)
         assert new_state.step == 1
 
     def test_opposite_gradients_negate_deltas(self):
@@ -227,29 +232,24 @@ class TestAdam:
         state = nn.AdamState.for_params(params)
         grads = nn.init_params(nn.default_layout(), 8)  # arbitrary values
         up, _ = nn.adam_step(params, grads, state)
-        neg = grads.copy()
-        for arr in neg.arrays():
-            arr *= -1.0
+        neg = nn.ModelParams(grads.layout, -grads.flat)
         down, _ = nn.adam_step(params, neg, state)
         # deltas reconstructed from the updated parameters carry one ulp of
         # rounding from the add, so compare tightly rather than bitwise
-        for p, u, d in zip(params.arrays(), up.arrays(), down.arrays()):
-            assert np.allclose(u - p, -(d - p), rtol=0, atol=1e-12)
+        assert np.allclose(up.flat - params.flat, -(down.flat - params.flat),
+                           rtol=0, atol=1e-12)
 
     def test_first_step_unit_gradient_delta(self):
         params = nn.init_params(nn.default_layout(), 9)
         state = nn.AdamState.for_params(params, learning_rate=1e-3)
-        ones = nn.zeros_like_params(params)
-        for arr in ones.arrays():
-            arr[...] = 1.0
+        ones = nn.ModelParams(params.layout, np.ones_like(params.flat))
         updated, _ = nn.adam_step(params, ones, state)
-        for p, u in zip(params.arrays(), updated.arrays()):
-            assert np.all(np.abs((u - p) + 1e-3) < 1e-9)
+        assert np.all(np.abs((updated.flat - params.flat) + 1e-3) < 1e-9)
 
     def test_step_counter_increments(self):
         params = nn.init_params(nn.default_layout(), 10)
         state = nn.AdamState.for_params(params)
-        g = nn.zeros_like_params(params)
+        g = zeros_twin(params)
         for want in (1, 2, 3):
             params, state = nn.adam_step(params, g, state)
             assert state.step == want
@@ -275,10 +275,9 @@ class TestCheckpoint:
         nn.save_checkpoint(quick_model, path)
         loaded = nn.load_checkpoint(path)
         assert loaded.message_count == quick_model.message_count
-        assert loaded.block_bits == quick_model.block_bits
+        assert loaded.layout == quick_model.layout
         assert loaded.channel_uses == quick_model.channel_uses
-        for a, b in zip(quick_model.arrays(), loaded.arrays()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(quick_model.flat, loaded.flat)
         acts = [l.activation for l in loaded.encoder + loaded.decoder]
         want = [l.activation for l in quick_model.encoder + quick_model.decoder]
         assert acts == want
@@ -368,9 +367,10 @@ def reference_adam(p_arrays, g_arrays, m_arrays, v_arrays, t,
 
 def assert_packed(params):
     """Every layer array is the next slice of params.flat."""
-    assert all(np.shares_memory(a, params.flat) for a in params.arrays())
-    assert np.array_equal(
-        np.concatenate([a.ravel() for a in params.arrays()]), params.flat)
+    arrays = layer_arrays(params)
+    assert all(np.shares_memory(a, params.flat) for a in arrays)
+    assert np.array_equal(np.concatenate([a.ravel() for a in arrays]),
+                          params.flat)
 
 
 class TestFlatBuffer:
@@ -382,8 +382,9 @@ class TestFlatBuffer:
         updated, _ = nn.adam_step(params, grads, state)
         nn.save_checkpoint(quick_model, tmp_path / "model.ckpt")
         loaded = nn.load_checkpoint(tmp_path / "model.ckpt")
-        for p in (params, params.copy(), grads, updated, loaded,
-                  nn.zeros_like_params(params)):
+        numeric = nn.finite_difference_gradients(params, messages[:2],
+                                                 noise[:2])
+        for p in (params, params.copy(), grads, updated, loaded, numeric):
             assert_packed(p)
         assert not np.shares_memory(params.copy().flat, params.flat)
 
@@ -426,7 +427,7 @@ class TestFlatBuffer:
     def test_adam_matches_per_array_reference(self):
         params = nn.init_params(nn.default_layout(), 14)
         state = nn.AdamState.for_params(params)
-        ref_p = [a.copy() for a in params.arrays()]
+        ref_p = [a.copy() for a in layer_arrays(params)]
         ref_m = [np.zeros_like(a) for a in ref_p]
         ref_v = [np.zeros_like(a) for a in ref_p]
         for t in (1, 2, 3):
@@ -440,8 +441,8 @@ class TestFlatBuffer:
             for before, after in zip(inputs, untouched):
                 assert np.array_equal(before, after)
             ref_p, ref_m, ref_v = reference_adam(
-                ref_p, grads.arrays(), ref_m, ref_v, t)
-            for got, want in zip(new_params.arrays(), ref_p):
+                ref_p, layer_arrays(grads), ref_m, ref_v, t)
+            for got, want in zip(layer_arrays(new_params), ref_p):
                 assert np.array_equal(got, want)
             assert np.array_equal(new_state.first_moment,
                                   np.concatenate([a.ravel() for a in ref_m]))
