@@ -119,6 +119,16 @@ def _parse_db_list(text):
     return values
 
 
+def _train_db(args, zero_noise=True) -> float:
+    """``--train-db``, finite or, where training takes it, +inf for zero
+    noise; anything else is an error that names the flag."""
+    db = args.train_db
+    if not (math.isfinite(db) or (zero_noise and db == math.inf)):
+        wanted = "a finite dB value" + (" or inf" if zero_noise else "")
+        raise ConfigurationError(f"--train-db: expected {wanted}, got {db}")
+    return db
+
+
 def _worker_count(text):
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(
@@ -129,11 +139,9 @@ def _worker_count(text):
 # -- subcommands --------------------------------------------------------------
 
 def _cmd_overlap(run, args, config):
-    if not math.isfinite(args.train_db):
-        raise ConfigurationError(
-            f"--train-db: expected a finite dB value, got {args.train_db}")
+    train_db = _train_db(args, zero_noise=False)
     tests = _parse_db_list(args.test_db)
-    rows = harness.overlap_table(args.train_db, tests, config.rate)
+    rows = harness.overlap_table(train_db, tests, config.rate)
     for row in rows:
         run.say(f"test {row.test_ebn0_db:+g} dB: overlap "
                 f"{row.overlap_pct:.2f}%  KL {row.kl_nats:.4f} nats")
@@ -149,11 +157,12 @@ def _cmd_sweep(run, args, config):
 
 
 def _cmd_train(run, args, config):
+    train_db = _train_db(args)
     seed = config.seeds[0]
-    run.say(f"training at {args.train_db:g} dB, seed {seed}")
-    params, history = harness.train_autoencoder(config, args.train_db, seed)
+    run.say(f"training at {train_db:g} dB, seed {seed}")
+    params, history = harness.train_autoencoder(config, train_db, seed)
     run.say(f"final loss {history.losses[-1]:.6g}")
-    stem = f"model_train{args.train_db:+g}dB_seed{seed}"
+    stem = f"model_train{train_db:+g}dB_seed{seed}"
     os.makedirs(run.out_dir, exist_ok=True)
     nn.save_checkpoint(params, run.path(stem + ".ckpt"))
     run.add_file(stem + ".ckpt")
@@ -179,11 +188,12 @@ def _cmd_gradcheck(run, args, config):
 
 
 def _cmd_robustness(run, args, config):
+    train_db = _train_db(args)
     seed = config.seeds[0]
-    run.say(f"training reference model at {args.train_db:g} dB, seed {seed}")
-    params, _ = harness.train_autoencoder(config, args.train_db, seed)
+    run.say(f"training reference model at {train_db:g} dB, seed {seed}")
+    params, _ = harness.train_autoencoder(config, train_db, seed)
     run.say("estimating BLER under channel variants")
-    curves = harness.robustness_probe(params, config, args.train_db, seed,
+    curves = harness.robustness_probe(params, config, train_db, seed,
                                       workers=args.workers)
     run.write_text("robustness.csv", harness.sweep_to_csv(curves))
     run.write_text("plot_bler.py", harness.PLOT_SCRIPT)

@@ -6,7 +6,6 @@ leading batch axis.
 """
 
 import numpy as np
-from scipy.special import erfc
 
 K = 4
 N = 7
@@ -110,6 +109,8 @@ def hamming_mld_message(y) -> np.ndarray:
 
 def q_function(x):
     """Standard normal upper-tail probability."""
+    from scipy.special import erfc  # imported on first use: keeps start-up light
+
     x = np.asarray(x, dtype=float)
     out = 0.5 * erfc(x / np.sqrt(2.0))
     return out if out.ndim else float(out)

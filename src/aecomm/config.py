@@ -21,6 +21,10 @@ import numpy as np
 from .channels import CHANNEL_KINDS, ChannelSpec
 from .errors import ConfigFileError, ConfigurationError
 
+# the reference grid has 25 points; the bound turns a mistyped step into an
+# error instead of an array too large to allocate or a run without end
+MAX_TEST_POINTS = 10_000
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -77,6 +81,8 @@ class ExperimentConfig:
         require(self.test_ebn0_step > 0, "test_ebn0_step", "must be positive")
         require(self.test_ebn0_start <= self.test_ebn0_stop, "test_ebn0_start",
                 "must not exceed test_ebn0_stop")
+        require(self._test_steps() < MAX_TEST_POINTS, "test_ebn0_step",
+                f"gives more than {MAX_TEST_POINTS} test points")
         require(self.target_block_errors >= 1, "target_block_errors", "must be >= 1")
         require(self.max_blocks >= 1, "max_blocks", "must be >= 1")
         require(len(self.seeds) > 0, "seeds", "must be non-empty")
@@ -100,11 +106,14 @@ class ExperimentConfig:
     def message_count(self) -> int:
         return 2**self.block_bits
 
-    def test_grid(self) -> np.ndarray:
-        # floor with a small slack so an exact multiple is kept but the grid
-        # never runs past the stop value
+    def _test_steps(self) -> float:
+        # steps from start to stop plus a small slack, so that its floor keeps
+        # an exact multiple but the grid never runs past the stop value
         span = (self.test_ebn0_stop - self.test_ebn0_start) / self.test_ebn0_step
-        count = int(np.floor(span + 1e-9)) + 1
+        return span + 1e-9
+
+    def test_grid(self) -> np.ndarray:
+        count = int(np.floor(self._test_steps())) + 1
         return self.test_ebn0_start + self.test_ebn0_step * np.arange(count)
 
     def channel_spec(self, ebn0_db: float) -> ChannelSpec:

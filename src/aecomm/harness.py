@@ -20,7 +20,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import channels, codecs, nn, shiftmetrics
 from .config import ExperimentConfig
@@ -30,8 +29,9 @@ from .rng import substream
 
 DEFAULT_CHUNK_BLOCKS = 20_000
 
-# two-sided 95%
-_Z95 = float(ndtri(0.975))
+# two-sided 95%: scipy.special.ndtri(0.975), written out so that importing
+# aecomm does not import scipy
+_Z95 = 1.959963984540054
 
 
 def _db_key(db: float) -> str:

@@ -166,20 +166,36 @@ def _forward_stack(layers, inputs):
     return a, cache
 
 
-def _backward_stack(layers, cache, grad_out, grad_layers, need_grad_in=True):
-    """Backprop through a dense stack, writing each layer's (dW, db) into
-    the arrays of ``grad_layers``; returns the input gradient, or None when
-    ``need_grad_in`` is false."""
+def _forward_columns(layers, inputs):
+    """_forward_stack on (width, batch) arrays.  The batch runs along each
+    row, so a per-sample reduction is an elementwise pass over a few
+    contiguous rows instead of a short reduction per sample."""
+    a = inputs
+    cache = []
+    for layer in layers:
+        pre = layer.weight.T @ a
+        pre += layer.bias[:, None]
+        post = np.maximum(pre, 0.0) if layer.activation == "relu" else pre
+        cache.append((a, pre))
+        a = post
+    return a, cache
+
+
+def _backward_columns(layers, cache, grad_out, grad_layers,
+                      need_grad_in=True):
+    """Backprop through a dense stack on (width, batch) arrays, writing each
+    layer's (dW, db) into the arrays of ``grad_layers``; returns the input
+    gradient, or None when ``need_grad_in`` is false."""
     g = grad_out
     for i in range(len(layers) - 1, -1, -1):
         a_in, pre = cache[i]
         if layers[i].activation == "relu":
             g = g * (pre > 0.0)
-        np.matmul(a_in.T, g, out=grad_layers[i].weight)
-        g.sum(axis=0, out=grad_layers[i].bias)
+        np.matmul(a_in, g.T, out=grad_layers[i].weight)
+        g.sum(axis=1, out=grad_layers[i].bias)
         if i == 0 and not need_grad_in:
             return None
-        g = g @ layers[i].weight.T
+        g = layers[i].weight @ g
     return g
 
 
@@ -192,23 +208,16 @@ def _normalize_energy(z, n):
     return np.sqrt(n) * z / norms, norms
 
 
-def _encoder_forward(params: ModelParams, onehot):
-    z, cache = _forward_stack(params.encoder, onehot)
+def _encoder_forward(params: ModelParams):
+    """The encoder on the M-row identity: (codebook, z, norms, cache)."""
+    z, cache = _forward_stack(params.encoder, np.eye(params.message_count))
     x, norms = _normalize_energy(z, params.channel_uses)
     return x, z, norms, cache
 
 
-def _softmax(logits):
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def codebook(params: ModelParams) -> np.ndarray:
     """All M codewords, shape (M, n); rows satisfy ||x||^2 = n."""
-    onehot = np.eye(params.message_count)
-    x, _, _, _ = _encoder_forward(params, onehot)
-    return x
+    return _encoder_forward(params)[0]
 
 
 def predict(params: ModelParams, received) -> np.ndarray:
@@ -251,37 +260,49 @@ def loss_and_gradients_given(params, messages, noise, fade=None):
 
 
 def _loss_core(params, messages, noise, fade, want_grads):
+    """The encoder runs once on the M-row identity, as in codebook(), and a
+    one-hot product gathers the batch's codewords exactly.  The decoder,
+    softmax and backprop run on (width, batch) arrays, and the codeword
+    gradient is summed per message before it enters the normalization and
+    the encoder, so those see M rows, not the batch."""
     messages = _check_batch(params, messages)
     batch = messages.size
     m, n = params.message_count, params.channel_uses
 
-    onehot = np.zeros((batch, m))
-    onehot[np.arange(batch), messages] = 1.0
+    cols = np.arange(batch)
+    onehot = np.zeros((m, batch))
+    onehot[messages, cols] = 1.0
 
-    x, z, norms, enc_cache = _encoder_forward(params, onehot)
-    if fade is None:
-        y = x + noise
-    else:
-        y = fade[..., None] * x + noise
-    logits, dec_cache = _forward_stack(params.decoder, y)
-    probs = _softmax(logits)
-    picked = probs[np.arange(batch), messages]
+    cb, z, norms, enc_cache = _encoder_forward(params)
+    y = cb.T @ onehot
+    if fade is not None:
+        y *= fade
+    y += noise.T
+    logits, dec_cache = _forward_columns(params.decoder, y)
+    probs = logits - logits.max(axis=0)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=0)
     with np.errstate(divide="ignore"):
-        loss = float(-np.mean(np.log(picked)))
+        loss = -float(np.log(probs[messages, cols]).sum()) / batch
     if not np.isfinite(loss):
         raise DivergenceError("non-finite loss")
     if not want_grads:
         return loss, None
 
     grads = ModelParams(params.layout, np.empty_like(params.flat))
-    dlogits = (probs - onehot) / batch
-    dy = _backward_stack(params.decoder, dec_cache, dlogits, grads.decoder)
-    dx = dy if fade is None else fade[..., None] * dy
+    dlogits = probs  # in place: the loss no longer needs probs
+    dlogits -= onehot
+    dlogits /= batch
+    dy = _backward_columns(params.decoder, dec_cache, dlogits, grads.decoder)
+    if fade is not None:
+        dy *= fade
+    dx = onehot @ dy.T
     # Energy normalization x = sqrt(n) z / ||z||: project out the radial part.
     radial = (z * dx).sum(axis=-1, keepdims=True)
     dz = np.sqrt(n) / norms * (dx - z * radial / norms**2)
-    _backward_stack(params.encoder, enc_cache, dz, grads.encoder,
-                    need_grad_in=False)
+    _backward_columns(params.encoder,
+                      [(a.T, pre.T) for a, pre in enc_cache], dz.T,
+                      grads.encoder, need_grad_in=False)
     return loss, grads
 
 

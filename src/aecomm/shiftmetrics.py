@@ -12,13 +12,14 @@ are provided as labeled extensions, not the tabulated number.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, gammainc
 
 from . import channels
 
 
 def normal_cdf(x):
     """Standard normal CDF via the complementary error function."""
+    from scipy.special import erfc  # imported on first use: keeps start-up light
+
     x = np.asarray(x, dtype=float)
     out = 0.5 * erfc(-x / np.sqrt(2.0))
     return out if out.ndim else float(out)
@@ -28,6 +29,8 @@ def chi_square_cdf(x, dof: int):
     """Chi-square CDF via the regularized lower incomplete gamma function."""
     if dof < 1:
         raise ValueError(f"dof must be >= 1, got {dof}")
+    from scipy.special import gammainc
+
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError("chi-square CDF is defined for x >= 0")

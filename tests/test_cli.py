@@ -114,6 +114,35 @@ class TestExitCodes:
                 == f"error: {bad}: line 2: {key}: must be finite\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("step", ["1e-300", "1e-6"])
+    def test_oversized_test_grid_names_file_and_line(self, tmp_path, capsys,
+                                                     step):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"[sweep]\ntest_ebn0_step = {step}\n")
+        out = tmp_path / "run"
+        code = run_command(["baseline", "--config", str(bad),
+                            "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: line 2: test_ebn0_step: gives more than 10000 "
+            f"test points\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, value", [
+        ("train", "-inf"), ("train", "nan"),
+        ("robustness", "-inf"), ("robustness", "nan"),
+    ])
+    def test_bad_train_db_names_the_flag(self, tmp_path, capsys, command,
+                                         value):
+        # +inf is the zero-noise sentinel; -inf and nan mean nothing
+        out = tmp_path / "run"
+        code = run_command([command, f"--train-db={value}", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: --train-db: expected a finite dB value or inf, "
+            f"got {value}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--test-db", "inf"), ("--test-db", "0,-inf"), ("--test-db", "nan"),
         ("--train-db", "inf"), ("--train-db", "-inf"), ("--train-db", "nan"),
@@ -302,6 +331,21 @@ class TestRobustness:
 
 
 class TestEntryPoints:
+    def test_start_up_leaves_scipy_unimported(self):
+        # scipy.special is most of the import time; only the closed forms
+        # and the overlap metrics load it, on first use
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, aecomm.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "aecomm", "--version"],

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from aecomm.config import (
+    MAX_TEST_POINTS,
     ExperimentConfig,
     load_config,
     loads_config,
@@ -129,6 +130,17 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match=f"^{key}: must be finite$"):
             ExperimentConfig(**{key: value})
 
+    def test_test_grid_size_is_bounded(self):
+        # 10,000 points are accepted and one more step is not
+        at_bound = ExperimentConfig(test_ebn0_start=0.0, test_ebn0_stop=9999.0,
+                                    test_ebn0_step=1.0)
+        assert at_bound.test_grid().size == MAX_TEST_POINTS == 10_000
+        with pytest.raises(ConfigurationError,
+                           match="^test_ebn0_step: gives more than 10000 "
+                                 "test points$"):
+            ExperimentConfig(test_ebn0_start=0.0, test_ebn0_stop=10_000.0,
+                             test_ebn0_step=1.0)
+
     def test_empty_seeds(self):
         with pytest.raises(ConfigurationError, match="seeds"):
             ExperimentConfig(seeds=()).validate()
@@ -165,9 +177,14 @@ INVALID_FILES = [
     ("[sweep]\ntest_ebn0_start = -inf\n", 2,
      r"test_ebn0_start: must be finite"),
     ("[sweep]\ntest_ebn0_step = inf\n", 2, r"test_ebn0_step: must be finite"),
+    # 1.2e301 points overflow numpy's arange; 1.2e7 would run for days
+    ("[sweep]\ntest_ebn0_step = 1e-300\n", 2,
+     r"test_ebn0_step: gives more than 10000 test points"),
+    ("# fine grid\n[sweep]\ntest_ebn0_step = 1e-6\n", 3,
+     r"test_ebn0_step: gives more than 10000 test points"),
 ]
 INVALID_IDS = ["repeated-seeds", "rho-out-of-range", "stop-inf", "start-inf",
-               "step-inf"]
+               "step-inf", "step-1e-300", "step-1e-6"]
 
 
 class TestValidationNamesLine:

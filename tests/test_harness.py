@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import ndtri
 from scipy.stats import binomtest
 
 from aecomm import ExperimentConfig, codecs, harness, nn
@@ -43,6 +44,9 @@ class TestWilson:
             )
             assert low == pytest.approx(want.low, abs=1e-12)
             assert high == pytest.approx(want.high, abs=1e-12)
+
+    def test_written_out_z_is_the_normal_quantile(self):
+        assert harness._Z95 == float(ndtri(0.975))
 
     def test_zero_errors_lower_bound_zero(self):
         low, high = harness.wilson_interval(0, 1000)

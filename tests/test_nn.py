@@ -162,7 +162,83 @@ class TestDecode:
         assert np.array_equal(nn.predict(quick_model, y), np.argmax(logits, axis=-1))
 
 
+def batch_major_loss_and_gradients(params, messages, noise, fade=None):
+    """The step written out one row per block: the encoder on each block's
+    one-hot row, the softmax along each row, and every gradient summed over
+    the batch rows.  Returns (loss, flat gradient)."""
+    batch = messages.size
+    m, n = params.message_count, params.channel_uses
+    rows = np.arange(batch)
+    onehot = np.zeros((batch, m))
+    onehot[rows, messages] = 1.0
+
+    def forward(layers, a):
+        cache = []
+        for layer in layers:
+            pre = a @ layer.weight + layer.bias
+            cache.append((a, pre))
+            a = np.maximum(pre, 0.0) if layer.activation == "relu" else pre
+        return a, cache
+
+    def backward(layers, cache, g, grad_layers):
+        for layer, (a, pre), out in reversed(list(zip(layers, cache,
+                                                      grad_layers))):
+            if layer.activation == "relu":
+                g = g * (pre > 0.0)
+            out.weight[...] = a.T @ g
+            out.bias[...] = g.sum(axis=0)
+            g = g @ layer.weight.T
+        return g
+
+    z, enc_cache = forward(params.encoder, onehot)
+    norms = np.linalg.norm(z, axis=1, keepdims=True)
+    gain = np.ones((batch, 1)) if fade is None else fade[:, None]
+    y = gain * (np.sqrt(n) * z / norms) + noise
+    logits, dec_cache = forward(params.decoder, y)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    loss = -np.mean(np.log(probs[rows, messages]))
+
+    grads = zeros_twin(params)
+    dy = backward(params.decoder, dec_cache, (probs - onehot) / batch,
+                  grads.decoder)
+    dx = gain * dy
+    radial = (z * dx).sum(axis=1, keepdims=True)
+    dz = np.sqrt(n) / norms * (dx - z * radial / norms**2)
+    backward(params.encoder, enc_cache, dz, grads.encoder)
+    return loss, grads.flat
+
+
 class TestLossAndGradients:
+    @pytest.mark.parametrize("decoder_sizes, batch, faded", [
+        ((7, 16, 16), 256, False),
+        ((7, 16, 16), 256, True),
+        ((7, 12, 20, 16), 256, False),
+        ((7, 12, 20, 16), 64, True),
+        ((7, 16, 16), 5, False),  # most codewords get no gradient
+    ], ids=["awgn", "rayleigh", "deep-decoder", "deep-decoder-rayleigh",
+            "five-blocks"])
+    def test_matches_batch_major_reference(self, decoder_sizes, batch, faded):
+        # the step sums per message and runs the decoder on (width, batch)
+        # arrays, so it agrees with the row-per-block form up to the order
+        # of its sums
+        layout = nn.NetworkLayout(16, 7, (16, 16, 7), decoder_sizes)
+        params = nn.init_params(layout, 40 + batch)
+        messages, noise = small_batch(params, size=batch, sigma=0.5,
+                                      key=batch)
+        fade = None
+        if faded:
+            fade = substream(batch, "fade").rayleigh(np.sqrt(0.5), size=batch)
+        loss, grads = nn.loss_and_gradients_given(params, messages, noise,
+                                                  fade)
+        want_loss, want = batch_major_loss_and_gradients(params, messages,
+                                                         noise, fade)
+        assert loss == pytest.approx(want_loss, rel=1e-12, abs=0)
+        assert nn.loss_given_disturbance(params, messages, noise, fade) == loss
+        scale = np.abs(want).max()
+        assert scale > 0.0
+        assert np.allclose(grads.flat, want, rtol=1e-12, atol=1e-12 * scale)
+
     def test_matches_finite_differences(self):
         for case in range(2):
             params = nn.init_params(nn.default_layout(), 20 + case)
