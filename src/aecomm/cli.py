@@ -173,7 +173,8 @@ def _cmd_train(run, args, config):
 def _cmd_baseline(run, args, config):
     curves = harness.baseline_curves(config, workers=args.workers,
                                      progress=run.say)
-    run.write_text("baseline.csv", harness.baseline_to_csv(curves))
+    run.write_text("baseline.csv",
+                   harness.baseline_to_csv(curves, config.channel_kind))
     return run.finish()
 
 

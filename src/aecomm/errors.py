@@ -26,10 +26,14 @@ class ConfigFileError(ConfigurationError):
 
 
 class _StepError(ArithmeticError):
-    """A numerical failure that can name the training step it happened at."""
+    """A numerical failure that can name the training step it happened at.
 
-    def __init__(self, message, step=None):
-        self.step = step
+    ``model`` is the index of the failing model on a stack's leading axis
+    (0 for a single model), when it is known.
+    """
+
+    def __init__(self, message, step=None, model=None):
+        self.step, self.model = step, model
         if step is not None:
             message = f"{message} (at step {step})"
         super().__init__(message)

@@ -197,53 +197,76 @@ class TrainingHistory:
         self.losses.append(float(loss))
 
 
-def _train(config: ExperimentConfig, layout, seed: int, next_batch,
-           where: str = ""):
-    """Adam from ``init_params(layout, seed)`` for ``config.steps`` steps on
-    the (messages, noise, fade) batches ``next_batch()`` returns.  Returns
-    (ModelParams, TrainingHistory) with the loss recorded every
-    ``loss_log_interval`` steps; numerical failures name the step, after the
-    ``where`` prefix."""
-    params = nn.init_params(layout, seed)
+def _train(config: ExperimentConfig, layout, seeds, next_batch, where):
+    """Adam from ``init_params(layout, seed)``, one model per seed, for
+    ``config.steps`` steps.  The models train in lockstep on a leading model
+    axis: ``next_batch()`` returns (messages, noise, fade) with that axis,
+    each model's rows from its own draws.  Returns one (ModelParams,
+    TrainingHistory) pair per seed, with the loss recorded every
+    ``loss_log_interval`` steps; a numerical failure names the step, after
+    ``where(k)`` for the failing model k (None when unknown)."""
+    params = nn.ModelParams(layout, np.stack(
+        [nn.init_params(layout, seed).flat for seed in seeds]))
     state = nn.AdamState.for_params(
         params, config.learning_rate, config.beta1, config.beta2,
         config.epsilon)
-    history = TrainingHistory()
+    histories = [TrainingHistory() for _ in seeds]
+    work = nn.Workspace()
     for step in range(1, config.steps + 1):
         messages, noise, fade = next_batch()
         try:
-            loss, grads = nn.loss_and_gradients_given(params, messages, noise,
-                                                      fade)
+            losses, grads = nn.loss_and_gradients_given(params, messages,
+                                                        noise, fade, work)
         except (DivergenceError, DegenerateCodewordError) as exc:
-            raise type(exc)(f"{where}{exc}", step=step) from exc
+            raise type(exc)(f"{where(exc.model)}{exc}", step=step) from exc
         params, state = nn.adam_step(params, grads, state)
-        if not params.all_finite():
-            raise DivergenceError(f"{where}non-finite parameters after update",
-                                  step=step)
+        if not np.isfinite(params.flat).all():
+            finite = np.isfinite(params.flat).all(axis=-1)
+            raise DivergenceError(
+                f"{where(int(np.argmin(finite)))}non-finite parameters after "
+                "update", step=step)
         if step % config.loss_log_interval == 0 or step == config.steps:
-            history.record(step, loss)
-    return params, history
+            for history, loss in zip(histories, losses):
+                history.record(step, loss)
+    return [(nn.ModelParams(layout, flat), history)
+            for flat, history in zip(params.flat, histories)]
 
 
-def train_autoencoder(config: ExperimentConfig, train_ebn0_db: float,
-                      seed: int):
+def train_autoencoder(config: ExperimentConfig, train_ebn0_db: float, seed):
     """Train one autoencoder at a fixed Eb/N0; deterministic per (config,
     seed).  Returns (ModelParams, TrainingHistory) with the loss recorded
-    every ``loss_log_interval`` steps."""
+    every ``loss_log_interval`` steps.
+
+    ``seed`` may also be a tuple of seeds: their models then train in
+    lockstep and one pair per seed comes back, each bit-identical to
+    training that seed alone, since each model keeps its own substreams.
+    """
+    seeds = seed if isinstance(seed, tuple) else (seed,)
     layout = nn.default_layout(config.message_count, config.channel_uses,
                                config.decoder_hidden)
     spec = config.channel_spec(train_ebn0_db)
     db = _db_key(train_ebn0_db)
-    msg_rng = substream(seed, "train", db)
-    noise_rng = substream(seed, "channel", "train", db)
+    streams = [(substream(s, "train", db), substream(s, "channel", "train", db))
+               for s in seeds]
     batch_shape = (config.batch_size, config.channel_uses)
+    # one model's arrays need only a view with the model axis, not a copy
+    stacked = (lambda parts: parts[0][None]) if len(seeds) == 1 else np.array
 
     def next_batch():
-        messages = msg_rng.integers(0, config.message_count, config.batch_size)
-        return (messages,
-                *channels.draw_disturbance(spec, batch_shape, noise_rng))
+        draws = [(msg_rng.integers(0, config.message_count, config.batch_size),
+                  *channels.draw_disturbance(spec, batch_shape, noise_rng))
+                 for msg_rng, noise_rng in streams]
+        messages, noise, fade = zip(*draws)
+        return (stacked(messages), stacked(noise),
+                None if fade[0] is None else stacked(fade))
 
-    return _train(config, layout, seed, next_batch)
+    def where(k):
+        named = seeds if k is None else seeds[k:k + 1]
+        return (f"training at {train_ebn0_db:g} dB, seed "
+                f"{', '.join(map(str, named))}: ")
+
+    pairs = _train(config, layout, seeds, next_batch, where)
+    return tuple(pairs) if isinstance(seed, tuple) else pairs[0]
 
 
 # -- sweep --------------------------------------------------------------------
@@ -299,8 +322,9 @@ def _curve(system, label, train_ebn0_db, system_for, seeds, key, config,
 
 def run_sweep(config: ExperimentConfig, workers: int = 1,
               progress=None) -> SweepResult:
-    """Train one autoencoder per (train Eb/N0, seed), evaluate everything on
-    the test grid, and attach the classical baselines.
+    """Train one autoencoder per (train Eb/N0, seed), the seeds of one train
+    Eb/N0 in lockstep, evaluate everything on the test grid, and attach the
+    classical baselines.
 
     Autoencoder curves pool blocks and errors across seeds; baselines run
     once on the first seed.  ``progress`` is an optional callable taking a
@@ -312,9 +336,10 @@ def run_sweep(config: ExperimentConfig, workers: int = 1,
     models = {}
 
     for train_db in config.train_ebn0_db:
-        for seed in config.seeds:
-            say(f"training autoencoder at {train_db:g} dB, seed {seed}")
-            params, _ = train_autoencoder(config, train_db, seed)
+        say(f"training autoencoders at {train_db:g} dB, seeds "
+            f"{', '.join(map(str, config.seeds))}")
+        trained = train_autoencoder(config, train_db, tuple(config.seeds))
+        for seed, (params, _) in zip(config.seeds, trained):
             models[(train_db, seed)] = params
         label = f"ae-train{train_db:+g}dB"
         say(f"estimating BLER for {label}")
@@ -331,8 +356,9 @@ def run_sweep(config: ExperimentConfig, workers: int = 1,
 def baseline_curves(config: ExperimentConfig, workers: int = 1,
                     progress=None) -> list:
     """Hamming hard-decision, Hamming MLD, and uncoded BPSK over the test
-    grid.  Hard and MLD share one substream per point, so their noise is
-    matched draw for draw."""
+    grid, on the config's channel kind at each system's own rate.  Hard and
+    MLD share one substream per point, so their noise is matched draw for
+    draw."""
     _require_hamming_rate(config)
     say = progress if progress is not None else lambda text: None
     rate = float(config.rate)
@@ -346,7 +372,8 @@ def baseline_curves(config: ExperimentConfig, workers: int = 1,
         say(f"estimating BLER for {label}")
         curves.append(_curve(
             system_name, label, None,
-            lambda _, db: make(channels.ChannelSpec("awgn", db, system_rate)),
+            lambda _, db: make(channels.ChannelSpec(
+                config.channel_kind, db, system_rate, rho=config.rho)),
             config.seeds[:1], "baseline-channel", config, workers))
     return curves
 
@@ -413,11 +440,12 @@ def width_sweep(config: ExperimentConfig, widths, train_ebn0_db: float = 7.0,
 
         def next_batch():
             idx = batch_rng.integers(0, train_set_size, config.batch_size)
-            fade = None if train_fade is None else train_fade[idx]
-            return train_msgs[idx], train_noise[idx], fade
+            fade = None if train_fade is None else train_fade[idx][None]
+            return train_msgs[idx][None], train_noise[idx][None], fade
 
-        params, _ = _train(config, nn.default_layout(m, n, int(width)), seed,
-                           next_batch, where=f"width {width}: ")
+        [(params, _)] = _train(config, nn.default_layout(m, n, int(width)),
+                               (seed,), next_batch,
+                               lambda _: f"width {width}: ")
         train_loss = nn.loss_given_disturbance(params, train_msgs, train_noise,
                                                train_fade)
         test_loss = nn.loss_given_disturbance(params, test_msgs, test_noise,
@@ -495,12 +523,13 @@ _CLOSED_FORMS = {
 }
 
 
-def baseline_to_csv(curves) -> str:
+def baseline_to_csv(curves, channel_kind: str = "awgn") -> str:
     """Sweep schema plus a closed_form_bler column (empty where no closed
-    form exists, e.g. MLD)."""
+    form exists: MLD, and every curve off the ``awgn`` kind)."""
+    closed_forms = _CLOSED_FORMS if channel_kind == "awgn" else {}
     rows = []
     for curve in curves:
-        closed = _CLOSED_FORMS.get(curve.system)
+        closed = closed_forms.get(curve.system)
         for p in curve.points:
             reference = None if closed is None else closed(p.test_ebn0_db)
             rows.append(_sweep_row(curve, p) + (reference,))

@@ -11,7 +11,7 @@ Everything is float64 and deterministic given a seed.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -57,22 +57,25 @@ class NetworkLayout:
     def block_bits(self) -> int:
         return self.message_count.bit_length() - 1
 
-    # cached: every ModelParams built over this layout reads both
+    # cached: every ModelParams built over this layout reads it
     @cached_property
     def layers(self) -> tuple:
-        """(fan_in, fan_out, activation) per layer, encoder first."""
-        out = []
+        """(offset, fan_in, fan_out, activation) per layer, encoder first.
+        The layer's weight starts at ``offset`` in ``ModelParams.flat`` and
+        its bias follows the weight."""
+        out, offset = [], 0
         for sizes in (self.encoder_sizes, self.decoder_sizes):
             last = len(sizes) - 2
-            out += [(fan_in, fan_out, "relu" if i < last else "linear")
-                    for i, (fan_in, fan_out)
-                    in enumerate(zip(sizes[:-1], sizes[1:]))]
+            for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+                out.append((offset, fan_in, fan_out,
+                            "relu" if i < last else "linear"))
+                offset += fan_in * fan_out + fan_out
         return tuple(out)
 
     @cached_property
     def parameter_count(self) -> int:
-        return sum(fan_in * fan_out + fan_out
-                   for fan_in, fan_out, _ in self.layers)
+        offset, fan_in, fan_out, _ = self.layers[-1]
+        return offset + fan_in * fan_out + fan_out
 
 
 def default_layout(message_count=16, channel_uses=7, decoder_hidden=None):
@@ -86,8 +89,8 @@ def default_layout(message_count=16, channel_uses=7, decoder_hidden=None):
 
 
 class DenseLayer(NamedTuple):
-    weight: np.ndarray  # (fan_in, fan_out)
-    bias: np.ndarray  # (fan_out,)
+    weight: np.ndarray  # ([models,] fan_in, fan_out)
+    bias: np.ndarray  # ([models,] fan_out)
     activation: str
 
 
@@ -95,7 +98,9 @@ class DenseLayer(NamedTuple):
 class ModelParams:
     """Trainable state of the encoder/decoder pair: a layout and one float64
     vector ``flat`` in checkpoint order (encoder first; per layer the weight
-    row-major, then the bias).
+    row-major, then the bias).  ``flat`` may also be a (models, P) stack, one
+    model per row, which trains in lockstep; every array below then carries
+    the same leading model axis.
 
     ``encoder`` and ``decoder`` are tuples of DenseLayers whose arrays are
     views into ``flat``, derived from the layout; nothing can swap them out.
@@ -110,16 +115,17 @@ class ModelParams:
 
     def __post_init__(self):
         size = self.layout.parameter_count
-        if self.flat.shape != (size,):
+        if self.flat.ndim not in (1, 2) or self.flat.shape[-1] != size:
             raise ConfigurationError(
-                f"flat has shape {self.flat.shape}; the layout needs ({size},)")
-        layers, offset = [], 0
-        for fan_in, fan_out, activation in self.layout.layers:
+                f"flat has shape {self.flat.shape}; the layout needs ({size},) "
+                f"or (models, {size})")
+        lead, flat = self.flat.shape[:-1], self.flat
+        layers = []
+        for offset, fan_in, fan_out, activation in self.layout.layers:
             end = offset + fan_in * fan_out
             layers.append(DenseLayer(
-                self.flat[offset:end].reshape(fan_in, fan_out),
-                self.flat[end:end + fan_out], activation))
-            offset = end + fan_out
+                flat[..., offset:end].reshape(lead + (fan_in, fan_out)),
+                flat[..., end:end + fan_out], activation))
         n_enc = len(self.layout.encoder_sizes) - 1
         object.__setattr__(self, "encoder", tuple(layers[:n_enc]))
         object.__setattr__(self, "decoder", tuple(layers[n_enc:]))
@@ -134,9 +140,6 @@ class ModelParams:
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.layout, self.flat.copy())
-
-    def all_finite(self) -> bool:
-        return bool(np.isfinite(self.flat).all())
 
 
 def init_params(layout: NetworkLayout, seed: int) -> ModelParams:
@@ -154,28 +157,51 @@ def init_params(layout: NetworkLayout, seed: int) -> ModelParams:
 
 
 def _forward_stack(layers, inputs):
-    """Returns (output, cache) with pre-activations kept for backprop."""
+    """Returns (output, cache) with pre-activations kept for backprop.  On a
+    model stack the output gains the leading model axis."""
     a = inputs
     cache = []
     for layer in layers:
         pre = a @ layer.weight
-        pre += layer.bias
+        pre += layer.bias if layer.bias.ndim == 1 else layer.bias[:, None]
         post = np.maximum(pre, 0.0) if layer.activation == "relu" else pre
         cache.append((a, pre))
         a = post
     return a, cache
 
 
-def _forward_columns(layers, inputs):
-    """_forward_stack on (width, batch) arrays.  The batch runs along each
-    row, so a per-sample reduction is an elementwise pass over a few
-    contiguous rows instead of a short reduction per sample."""
+class Workspace:
+    """Arrays that the calls of a training run reuse, one per name, so that
+    no step allocates and frees its largest temporaries, the decoder's
+    forward arrays.  With three models a step's temporaries come to about a
+    megabyte, and freeing them every step let the allocator hand the heap's
+    top back to the system and fault it in again on the next step."""
+
+    def __init__(self):
+        self._arrays = {}
+
+    def array(self, name, shape, dtype=np.float64):
+        """The array kept under ``name`` (one dtype per name), made anew
+        when the shape differs; its contents are left from its last use."""
+        a = self._arrays.get(name)
+        if a is None or a.shape != shape:
+            a = self._arrays[name] = np.empty(shape, dtype)
+        return a
+
+
+def _forward_columns(layers, inputs, work):
+    """_forward_stack on (models, width, batch) arrays kept in ``work``.  The
+    batch runs along each row, so a per-sample reduction is an elementwise
+    pass over a few contiguous rows instead of a short reduction per
+    sample."""
     a = inputs
     cache = []
-    for layer in layers:
-        pre = layer.weight.T @ a
-        pre += layer.bias[:, None]
-        post = np.maximum(pre, 0.0) if layer.activation == "relu" else pre
+    for i, layer in enumerate(layers):
+        shape = a.shape[:-2] + (layer.weight.shape[-1], a.shape[-1])
+        pre = np.matmul(layer.weight.mT, a, out=work.array(f"pre{i}", shape))
+        pre += layer.bias[..., None]
+        post = (np.maximum(pre, 0.0, out=work.array(f"post{i}", shape))
+                if layer.activation == "relu" else pre)
         cache.append((a, pre))
         a = post
     return a, cache
@@ -183,16 +209,16 @@ def _forward_columns(layers, inputs):
 
 def _backward_columns(layers, cache, grad_out, grad_layers,
                       need_grad_in=True):
-    """Backprop through a dense stack on (width, batch) arrays, writing each
-    layer's (dW, db) into the arrays of ``grad_layers``; returns the input
-    gradient, or None when ``need_grad_in`` is false."""
+    """Backprop through a dense stack on (models, width, batch) arrays,
+    writing each layer's (dW, db) into the arrays of ``grad_layers``; returns
+    the input gradient, or None when ``need_grad_in`` is false."""
     g = grad_out
     for i in range(len(layers) - 1, -1, -1):
         a_in, pre = cache[i]
         if layers[i].activation == "relu":
             g = g * (pre > 0.0)
-        np.matmul(a_in, g.T, out=grad_layers[i].weight)
-        g.sum(axis=1, out=grad_layers[i].bias)
+        np.matmul(a_in, g.mT, out=grad_layers[i].weight)
+        g.sum(axis=-1, out=grad_layers[i].bias)
         if i == 0 and not need_grad_in:
             return None
         g = layers[i].weight @ g
@@ -200,17 +226,36 @@ def _backward_columns(layers, cache, grad_out, grad_layers,
 
 
 def _normalize_energy(z, n):
-    norms = np.linalg.norm(z, axis=-1, keepdims=True)
-    if np.any(norms < _NORM_FLOOR):
+    # the sum np.linalg.norm computes, without its per-call checks
+    norms = np.sqrt((z * z).sum(axis=-1, keepdims=True))
+    if (norms < _NORM_FLOOR).any():
+        degenerate = (norms < _NORM_FLOOR).any(axis=(-2, -1))
         raise DegenerateCodewordError(
-            "encoder output has (near-)zero norm; cannot energy-normalize"
-        )
+            "encoder output has (near-)zero norm; cannot energy-normalize",
+            model=int(np.argmax(degenerate)))
     return np.sqrt(n) * z / norms, norms
+
+
+@lru_cache
+def _identity(m):
+    eye = np.eye(m)
+    eye.flags.writeable = False
+    return eye
+
+
+@lru_cache(maxsize=4)
+def _sample_offsets(models, m, batch):
+    """Flat index of (model, message 0, sample) in a (models, m, batch)
+    array, per model and sample; cached, since a training run asks for the
+    same one every step."""
+    offsets = np.arange(models)[:, None] * (m * batch) + np.arange(batch)
+    offsets.flags.writeable = False
+    return offsets
 
 
 def _encoder_forward(params: ModelParams):
     """The encoder on the M-row identity: (codebook, z, norms, cache)."""
-    z, cache = _forward_stack(params.encoder, np.eye(params.message_count))
+    z, cache = _forward_stack(params.encoder, _identity(params.message_count))
     x, norms = _normalize_energy(z, params.channel_uses)
     return x, z, norms, cache
 
@@ -236,58 +281,80 @@ def predict(params: ModelParams, received) -> np.ndarray:
 
 def _check_batch(params, messages):
     messages = np.asarray(messages, dtype=np.int64)
-    if messages.ndim != 1 or messages.size == 0:
-        raise ValueError("batch must be a non-empty 1-D index array")
-    if np.any((messages < 0) | (messages >= params.message_count)):
+    if messages.shape[:-1] != params.flat.shape[:-1] or messages.size == 0:
+        raise ValueError("batch must be a non-empty 1-D index array per model")
+    if messages.min() < 0 or messages.max() >= params.message_count:
         raise ValueError("batch contains message indices out of range")
     return messages
 
 
-def loss_given_disturbance(params, messages, noise, fade=None) -> float:
+def loss_given_disturbance(params, messages, noise, fade=None):
     """Mean cross-entropy for a fixed channel realization (no gradients).
 
     Shares the exact forward path with loss_and_gradients_given; used by the
     finite-difference gradient oracle.
     """
-    loss, _ = _loss_core(params, messages, noise, fade, want_grads=False)
+    loss, _ = _loss_core(params, messages, noise, fade, False, Workspace())
     return loss
 
 
-def loss_and_gradients_given(params, messages, noise, fade=None):
+def loss_and_gradients_given(params, messages, noise, fade=None, work=None):
     """Loss and exact gradients for a fixed (noise, fade) realization; the
-    gradients are a ModelParams twin over a fresh vector."""
-    return _loss_core(params, messages, noise, fade, want_grads=True)
+    gradients are a ModelParams twin over a fresh vector.  A training loop
+    passes one ``Workspace`` to all its steps as ``work``; by default each
+    call uses its own.
+
+    For one model the loss is a float.  For a (K, P) stack, messages (K,
+    batch), noise (K, batch, n) and fade (K, batch) carry the same leading
+    model axis and the losses come back as a (K,) array; each model's loss
+    and gradients equal those of its own call bit for bit.  A numerical
+    failure names the failing model's index as its ``model``.
+    """
+    return _loss_core(params, messages, noise, fade, True,
+                      Workspace() if work is None else work)
 
 
-def _loss_core(params, messages, noise, fade, want_grads):
-    """The encoder runs once on the M-row identity, as in codebook(), and a
-    one-hot product gathers the batch's codewords exactly.  The decoder,
-    softmax and backprop run on (width, batch) arrays, and the codeword
-    gradient is summed per message before it enters the normalization and
-    the encoder, so those see M rows, not the batch."""
+def _loss_core(params, messages, noise, fade, want_grads, work):
+    """One model runs as a stack of one.  The encoder runs once per model on
+    the M-row identity, as in codebook(), and a one-hot product gathers the
+    batch's codewords exactly.  The decoder, softmax and backprop run on
+    (models, width, batch) arrays, and the codeword gradient is summed per
+    message before it enters the normalization and the encoder, so those see
+    M rows, not the batch."""
+    if params.flat.ndim == 1:
+        loss, grads = _loss_core(
+            ModelParams(params.layout, params.flat[None]),
+            np.asarray(messages)[None], np.asarray(noise)[None],
+            None if fade is None else np.asarray(fade)[None], want_grads,
+            work)
+        return float(loss[0]), (
+            None if grads is None else ModelParams(params.layout, grads.flat[0]))
     messages = _check_batch(params, messages)
-    batch = messages.size
+    models, batch = messages.shape
     m, n = params.message_count, params.channel_uses
 
-    cols = np.arange(batch)
-    onehot = np.zeros((m, batch))
-    onehot[messages, cols] = 1.0
+    picks = messages * batch  # flat index of each sample's message row
+    picks += _sample_offsets(models, m, batch)
+    onehot = np.zeros((models, m, batch))
+    onehot.ravel()[picks] = 1.0
 
     cb, z, norms, enc_cache = _encoder_forward(params)
-    y = cb.T @ onehot
+    y = np.matmul(cb.mT, onehot, out=work.array("y", (models, n, batch)))
     if fade is not None:
-        y *= fade
-    y += noise.T
-    logits, dec_cache = _forward_columns(params.decoder, y)
-    probs = logits - logits.max(axis=0)
+        y *= fade[:, None, :]
+    y += noise.mT
+    logits, dec_cache = _forward_columns(params.decoder, y, work)
+    probs = np.subtract(logits, logits.max(axis=-2, keepdims=True),
+                        out=work.array("probs", logits.shape))
     np.exp(probs, out=probs)
-    probs /= probs.sum(axis=0)
+    probs /= probs.sum(axis=-2, keepdims=True)
     with np.errstate(divide="ignore"):
-        loss = -float(np.log(probs[messages, cols]).sum()) / batch
-    if not np.isfinite(loss):
-        raise DivergenceError("non-finite loss")
+        losses = -np.log(probs.ravel()[picks]).sum(axis=-1) / batch
+    finite = np.isfinite(losses)
+    if not finite.all():
+        raise DivergenceError("non-finite loss", model=int(np.argmin(finite)))
     if not want_grads:
-        return loss, None
+        return losses, None
 
     grads = ModelParams(params.layout, np.empty_like(params.flat))
     dlogits = probs  # in place: the loss no longer needs probs
@@ -295,15 +362,15 @@ def _loss_core(params, messages, noise, fade, want_grads):
     dlogits /= batch
     dy = _backward_columns(params.decoder, dec_cache, dlogits, grads.decoder)
     if fade is not None:
-        dy *= fade
-    dx = onehot @ dy.T
+        dy *= fade[:, None, :]
+    dx = onehot @ dy.mT
     # Energy normalization x = sqrt(n) z / ||z||: project out the radial part.
     radial = (z * dx).sum(axis=-1, keepdims=True)
     dz = np.sqrt(n) / norms * (dx - z * radial / norms**2)
     _backward_columns(params.encoder,
-                      [(a.T, pre.T) for a, pre in enc_cache], dz.T,
+                      [(a.mT, pre.mT) for a, pre in enc_cache], dz.mT,
                       grads.encoder, need_grad_in=False)
-    return loss, grads
+    return losses, grads
 
 
 def finite_difference_gradients(params, messages, noise, fade=None,
@@ -370,7 +437,8 @@ def gradient_check(seed: int = 0, cases: int = 10, batch_size: int = 8,
 
 @dataclass
 class AdamState:
-    """Adam accumulators, laid out like ``ModelParams.flat``."""
+    """Adam accumulators, laid out like ``ModelParams.flat`` (one row per
+    model on a stack)."""
 
     first_moment: np.ndarray
     second_moment: np.ndarray
@@ -393,19 +461,29 @@ class AdamState:
 
 def adam_step(params: ModelParams, grads: ModelParams, state: AdamState):
     """One bias-corrected Adam update; returns (new_params, new_state) and
-    leaves its inputs untouched."""
-    if grads.layout != params.layout:
+    leaves its inputs untouched.  Elementwise, so the models of a stack
+    update exactly as they would alone."""
+    if grads.layout != params.layout or grads.flat.shape != params.flat.shape:
         raise ConfigurationError("gradient layout does not match parameter layout")
     t = state.step + 1
     b1, b2 = state.beta1, state.beta2
     lr, eps = state.learning_rate, state.epsilon
     g = grads.flat
-    m = b1 * state.first_moment + (1.0 - b1) * g
-    v = b2 * state.second_moment + (1.0 - b2) * g**2
-    m_hat = m / (1.0 - b1**t)
-    v_hat = v / (1.0 - b2**t)
-    new_flat = params.flat - lr * m_hat / (np.sqrt(v_hat) + eps)
-    return (ModelParams(params.layout, new_flat),
+    # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
+    # flat - lr m_hat / (sqrt(v_hat) + eps), each product and sum in that
+    # order, built up in the fresh arrays that are returned
+    m = b1 * state.first_moment
+    m += (1.0 - b1) * g
+    v = np.square(g)
+    v *= 1.0 - b2
+    v += b2 * state.second_moment
+    update = m / (1.0 - b1**t)
+    update *= lr
+    denom = v / (1.0 - b2**t)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    update /= denom
+    return (ModelParams(params.layout, params.flat - update),
             AdamState(m, v, t, lr, b1, b2, eps))
 
 
@@ -426,7 +504,7 @@ def _header(layout: NetworkLayout) -> bytes:
     words = [CHECKPOINT_VERSION, layout.message_count, layout.block_bits,
              layout.channel_uses, len(layout.encoder_sizes) - 1,
              len(layout.decoder_sizes) - 1]
-    for fan_in, fan_out, activation in layout.layers:
+    for _, fan_in, fan_out, activation in layout.layers:
         words += [fan_in, fan_out, _ACT_CODE[activation]]
     return CHECKPOINT_MAGIC + np.asarray(words, dtype="<u4").tobytes()
 

@@ -3,7 +3,7 @@ import pytest
 from scipy.special import ndtri
 from scipy.stats import binomtest
 
-from aecomm import ExperimentConfig, codecs, harness, nn
+from aecomm import ExperimentConfig, channels, codecs, harness, nn
 from aecomm.channels import TILE_ROWS, ChannelSpec, transmit
 from aecomm.errors import (ConfigurationError, DegenerateCodewordError,
                            DivergenceError)
@@ -782,3 +782,114 @@ class TestEmitters:
         text = harness.PLOT_SCRIPT
         assert "matplotlib" in text
         assert "semilogy" in text
+
+
+def poison_noise(monkeypatch, models, step, model):
+    """NaN noise for one model of a lockstep group at one training step:
+    each step draws once per model, in model order."""
+    real = channels.draw_disturbance
+    calls = []
+
+    def poisoned(spec, shape, rng):
+        noise, fade = real(spec, shape, rng)
+        calls.append(1)
+        if len(calls) == (step - 1) * models + model + 1:
+            noise = noise * np.nan
+        return noise, fade
+
+    monkeypatch.setattr(channels, "draw_disturbance", poisoned)
+
+
+class TestLockstep:
+    """The seeds of one training point train together on a leading model
+    axis, each bit-identical to training alone."""
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"channel_kind": "correlated_awgn", "rho": 0.5},
+        {"channel_kind": "rayleigh"},
+        {"decoder_hidden": 12},
+    ], ids=["awgn", "correlated_awgn", "rayleigh", "hidden12"])
+    def test_lockstep_equals_training_alone(self, overrides):
+        config = reduced_config(steps=120, loss_log_interval=20, **overrides)
+        together = harness.train_autoencoder(config, 2.0, (0, 1, 2))
+        assert len(together) == 3
+        for seed, (params, history) in zip((0, 1, 2), together):
+            alone, alone_history = harness.train_autoencoder(config, 2.0, seed)
+            assert params.flat.tobytes() == alone.flat.tobytes()
+            assert history.losses == alone_history.losses
+            assert history.steps == alone_history.steps
+
+    def test_one_seed_tuple_is_the_lone_run(self):
+        config = reduced_config(steps=80, loss_log_interval=20)
+        [(params, history)] = harness.train_autoencoder(config, 7.0, (4,))
+        alone, alone_history = harness.train_autoencoder(config, 7.0, 4)
+        assert params.flat.tobytes() == alone.flat.tobytes()
+        assert history.losses == alone_history.losses
+
+    def test_sweep_models_equal_lone_trainings(self):
+        config = reduced_config(steps=40, seeds=(2, 0), train_ebn0_db=(0.0,),
+                                test_ebn0_start=4.0, test_ebn0_stop=4.0,
+                                max_blocks=2_000)
+        result = harness.run_sweep(config)
+        for seed in (2, 0):
+            alone, _ = harness.train_autoencoder(config, 0.0, seed)
+            assert np.array_equal(result.models[(0.0, seed)].flat, alone.flat)
+
+    def test_lockstep_failure_names_point_seed_and_step(self, monkeypatch):
+        poison_noise(monkeypatch, models=3, step=3, model=1)
+        with pytest.raises(DivergenceError,
+                           match=r"^training at 7 dB, seed 1: non-finite "
+                                 r"loss \(at step 3\)$") as info:
+            harness.run_sweep(reduced_config(steps=10, seeds=(0, 1, 2)))
+        assert info.value.step == 3
+
+    def test_lockstep_nonfinite_parameters_name_the_seed(self, monkeypatch):
+        real = nn.adam_step
+
+        def poisoned(params, grads, state):
+            params, state = real(params, grads, state)
+            if state.step == 4:
+                params = params.copy()
+                params.flat[2, 0] = np.inf
+            return params, state
+
+        monkeypatch.setattr(nn, "adam_step", poisoned)
+        with pytest.raises(DivergenceError,
+                           match=r"^training at -1.5 dB, seed 9: non-finite "
+                                 r"parameters after update \(at step 4\)$"):
+            harness.train_autoencoder(reduced_config(steps=10), -1.5,
+                                      (5, 7, 9))
+
+
+class TestBaselineChannel:
+    """The baselines run on the config's channel kind."""
+
+    def test_rayleigh_config_moves_the_hamming_curves(self):
+        grid = dict(test_ebn0_start=4.0, test_ebn0_stop=8.0)
+        awgn = {c.system: c for c in harness.baseline_curves(
+            reduced_config(**grid))}
+        faded = {c.system: c for c in harness.baseline_curves(
+            reduced_config(channel_kind="rayleigh", **grid))}
+        for system in ("hamming_hard", "hamming_mld", "uncoded"):
+            assert faded[system].points != awgn[system].points
+            assert faded[system].points[-1].bler > awgn[system].points[-1].bler
+
+    def test_correlated_config_uses_its_rho(self):
+        config = reduced_config(channel_kind="correlated_awgn", rho=0.5,
+                                test_ebn0_start=4.0, test_ebn0_stop=4.0)
+        [point] = harness.baseline_curves(config)[1].points
+        spec = ChannelSpec("correlated_awgn", 4.0, 4 / 7, rho=0.5)
+        assert point == harness.estimate_bler(
+            harness.hamming_mld_system(spec), 4.0,
+            harness.StopRule(50, 20_000),
+            (0, "bler", "baseline-channel", "4"))
+
+    def test_closed_forms_only_on_awgn(self):
+        config = reduced_config(channel_kind="rayleigh", test_ebn0_start=4.0,
+                                test_ebn0_stop=8.0)
+        curves = harness.baseline_curves(config)
+        rows = harness.baseline_to_csv(curves, "rayleigh").splitlines()[1:]
+        assert rows and all(row.endswith(",") for row in rows)
+        rows = harness.baseline_to_csv(curves, "awgn").splitlines()[1:]
+        assert not rows[0].endswith(",")  # hamming_hard has a closed form

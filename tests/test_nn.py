@@ -525,3 +525,125 @@ class TestFlatBuffer:
             assert np.array_equal(new_state.second_moment,
                                   np.concatenate([a.ravel() for a in ref_v]))
             params, state = new_params, new_state
+
+
+def stack(models):
+    """The (K, P) stack of models over one layout."""
+    return nn.ModelParams(models[0].layout,
+                          np.stack([p.flat for p in models]))
+
+
+class TestModelStack:
+    """A (K, P) stack runs each model exactly as a call of its own."""
+
+    @staticmethod
+    def stacked_inputs(layout, faded, seeds=(0, 1, 2), size=32):
+        models = [nn.init_params(layout, seed) for seed in seeds]
+        batches = []
+        for key, params in enumerate(models):
+            messages, noise = small_batch(params, size=size, key=key)
+            fade = (substream(key, "fade").rayleigh(np.sqrt(0.5), size)
+                    if faded else None)
+            batches.append((messages, noise, fade))
+        return models, batches
+
+    def test_layer_table_is_consecutive(self):
+        layout = nn.default_layout(decoder_hidden=12)
+        offset = 0
+        for start, fan_in, fan_out, _ in layout.layers:
+            assert start == offset
+            offset += fan_in * fan_out + fan_out
+        assert offset == layout.parameter_count
+        assert layout.layers is layout.layers  # built once per layout
+
+    def test_stack_layers_are_row_views(self):
+        models = [nn.init_params(nn.default_layout(), seed) for seed in (1, 2)]
+        stacked = stack(models)
+        for k, params in enumerate(models):
+            for got, want in zip(layer_arrays(stacked), layer_arrays(params)):
+                assert np.shares_memory(got, stacked.flat)
+                assert np.array_equal(got[k], want)
+
+    def test_stack_of_wrong_width_rejected(self):
+        params = nn.init_params(nn.default_layout(), 0)
+        with pytest.raises(ConfigurationError):
+            nn.ModelParams(params.layout, np.zeros((2, params.flat.size + 1)))
+        with pytest.raises(ConfigurationError):
+            nn.ModelParams(params.layout, np.zeros((1, 2, params.flat.size)))
+
+    @pytest.mark.parametrize("hidden", [16, 12])
+    @pytest.mark.parametrize("faded", [False, True])
+    def test_stacked_call_equals_per_model_calls_bit_for_bit(self, hidden,
+                                                             faded):
+        models, batches = self.stacked_inputs(
+            nn.default_layout(decoder_hidden=hidden), faded)
+        messages, noise, fade = (None if parts[0] is None else np.stack(parts)
+                                 for parts in zip(*batches))
+        losses, grads = nn.loss_and_gradients_given(stack(models), messages,
+                                                    noise, fade)
+        assert losses.shape == (3,)
+        assert grads.flat.shape == (3, models[0].flat.size)
+        for k, (params, batch) in enumerate(zip(models, batches)):
+            loss, want = nn.loss_and_gradients_given(params, *batch)
+            assert losses[k] == loss
+            assert np.array_equal(grads.flat[k], want.flat)
+            assert nn.loss_given_disturbance(
+                stack(models), messages, noise, fade)[k] == loss
+
+    def test_stacked_adam_equals_per_model_steps(self):
+        models, batches = self.stacked_inputs(nn.default_layout(), False)
+        stacked = stack(models)
+        _, grads = nn.loss_and_gradients_given(
+            stacked, *(np.stack(p) for p in list(zip(*batches))[:2]))
+        state = nn.AdamState.for_params(stacked)
+        new, new_state = nn.adam_step(stacked, grads, state)
+        for k, params in enumerate(models):
+            alone, alone_state = nn.adam_step(
+                params, nn.ModelParams(params.layout, grads.flat[k]),
+                nn.AdamState.for_params(params))
+            assert np.array_equal(new.flat[k], alone.flat)
+            assert np.array_equal(new_state.second_moment[k],
+                                  alone_state.second_moment)
+        with pytest.raises(ConfigurationError):
+            nn.adam_step(stacked, nn.ModelParams(stacked.layout,
+                                                 grads.flat[0]), state)
+
+    def test_failures_name_the_model(self):
+        models, batches = self.stacked_inputs(nn.default_layout(), False)
+        messages, noise = (np.stack(p) for p in list(zip(*batches))[:2])
+        noise[2, 0, 0] = np.nan
+        with pytest.raises(DivergenceError) as info:
+            nn.loss_and_gradients_given(stack(models), messages, noise)
+        assert info.value.model == 2
+        degenerate = stack(models)
+        for layer in degenerate.encoder:
+            layer.weight[1] = 0.0
+            layer.bias[1] = 0.0
+        with pytest.raises(DegenerateCodewordError) as info:
+            nn.loss_and_gradients_given(degenerate, messages, noise)
+        assert info.value.model == 1
+
+    def test_batch_must_match_the_stack(self):
+        models, batches = self.stacked_inputs(nn.default_layout(), False)
+        messages, noise = (np.stack(p) for p in list(zip(*batches))[:2])
+        with pytest.raises(ValueError, match="per model"):
+            nn.loss_and_gradients_given(stack(models), messages[:2],
+                                        noise[:2])
+        bad = messages.copy()
+        bad[1, 3] = 16
+        with pytest.raises(ValueError, match="out of range"):
+            nn.loss_and_gradients_given(stack(models), bad, noise)
+
+    def test_reused_workspace_gives_fresh_results(self):
+        models, batches = self.stacked_inputs(nn.default_layout(), True)
+        stacked = stack(models)
+        work = nn.Workspace()
+        for shift in (0, 1, 0):
+            messages, noise, fade = (np.roll(np.stack(p), shift, axis=0)
+                                     for p in zip(*batches))
+            losses, grads = nn.loss_and_gradients_given(stacked, messages,
+                                                        noise, fade, work)
+            want, want_grads = nn.loss_and_gradients_given(stacked, messages,
+                                                           noise, fade)
+            assert np.array_equal(losses, want)
+            assert np.array_equal(grads.flat, want_grads.flat)
