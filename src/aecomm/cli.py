@@ -191,7 +191,8 @@ def _cmd_gradcheck(run, args, config):
 def _cmd_robustness(run, args, config):
     train_db = _train_db(args)
     seed = config.seeds[0]
-    run.say(f"training reference model at {train_db:g} dB, seed {seed}")
+    run.say(f"training reference model on {config.channel_kind} at "
+            f"{train_db:g} dB, seed {seed}")
     params, _ = harness.train_autoencoder(config, train_db, seed)
     run.say("estimating BLER under channel variants")
     curves = harness.robustness_probe(params, config, train_db, seed,
@@ -266,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_gradcheck)
 
     p = sub.add_parser("robustness",
-                       help="evaluate an AWGN-trained model under correlated "
-                            "and Rayleigh channels")
+                       help="evaluate a model trained on the configured "
+                            "channel under correlated and Rayleigh channels")
     common(p, workers=True)
     p.add_argument("--train-db", type=float, default=7.0,
                    help="training Eb/N0 in dB (default 7)")

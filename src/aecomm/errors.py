@@ -29,11 +29,12 @@ class _StepError(ArithmeticError):
     """A numerical failure that can name the training step it happened at.
 
     ``model`` is the index of the failing model on a stack's leading axis
-    (0 for a single model), when it is known.
+    (0 for a single model), when it is known; ``reason`` is the message
+    without the step.
     """
 
     def __init__(self, message, step=None, model=None):
-        self.step, self.model = step, model
+        self.reason, self.step, self.model = message, step, model
         if step is not None:
             message = f"{message} (at step {step})"
         super().__init__(message)

@@ -1,6 +1,6 @@
 """Experiment orchestration: training runs, Monte Carlo BLER with stopping
 rules and Wilson intervals, the train/test generalization sweep, the overlap
-table, the capacity (width) probe, the channel-mismatch probe, and the CSVs.
+table, the decoder-width probe, the channel-mismatch probe, and the CSVs.
 
 Determinism contract: every random draw comes from a substream named by
 (seed, purpose, operating point[, chunk index]).  One BLER estimate walks
@@ -17,7 +17,7 @@ as its repr, an int as str, and a missing value as an empty field.
 """
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
@@ -197,49 +197,17 @@ class TrainingHistory:
         self.losses.append(float(loss))
 
 
-def _train(config: ExperimentConfig, layout, seeds, next_batch, where):
-    """Adam from ``init_params(layout, seed)``, one model per seed, for
-    ``config.steps`` steps.  The models train in lockstep on a leading model
-    axis: ``next_batch()`` returns (messages, noise, fade) with that axis,
-    each model's rows from its own draws.  Returns one (ModelParams,
-    TrainingHistory) pair per seed, with the loss recorded every
-    ``loss_log_interval`` steps; a numerical failure names the step, after
-    ``where(k)`` for the failing model k (None when unknown)."""
-    params = nn.ModelParams(layout, np.stack(
-        [nn.init_params(layout, seed).flat for seed in seeds]))
-    state = nn.AdamState.for_params(
-        params, config.learning_rate, config.beta1, config.beta2,
-        config.epsilon)
-    histories = [TrainingHistory() for _ in seeds]
-    work = nn.Workspace()
-    for step in range(1, config.steps + 1):
-        messages, noise, fade = next_batch()
-        try:
-            losses, grads = nn.loss_and_gradients_given(params, messages,
-                                                        noise, fade, work)
-        except (DivergenceError, DegenerateCodewordError) as exc:
-            raise type(exc)(f"{where(exc.model)}{exc}", step=step) from exc
-        params, state = nn.adam_step(params, grads, state)
-        if not np.isfinite(params.flat).all():
-            finite = np.isfinite(params.flat).all(axis=-1)
-            raise DivergenceError(
-                f"{where(int(np.argmin(finite)))}non-finite parameters after "
-                "update", step=step)
-        if step % config.loss_log_interval == 0 or step == config.steps:
-            for history, loss in zip(histories, losses):
-                history.record(step, loss)
-    return [(nn.ModelParams(layout, flat), history)
-            for flat, history in zip(params.flat, histories)]
-
-
 def train_autoencoder(config: ExperimentConfig, train_ebn0_db: float, seed):
-    """Train one autoencoder at a fixed Eb/N0; deterministic per (config,
-    seed).  Returns (ModelParams, TrainingHistory) with the loss recorded
-    every ``loss_log_interval`` steps.
+    """Train one autoencoder at a fixed Eb/N0 with Adam from
+    ``init_params(layout, seed)``; deterministic per (config, seed).
+    Returns (ModelParams, TrainingHistory) with the loss recorded every
+    ``loss_log_interval`` steps.
 
     ``seed`` may also be a tuple of seeds: their models then train in
-    lockstep and one pair per seed comes back, each bit-identical to
-    training that seed alone, since each model keeps its own substreams.
+    lockstep on a leading model axis and one pair per seed comes back, each
+    bit-identical to training that seed alone, since each model keeps its
+    own substreams.  A numerical failure names the train Eb/N0, the failing
+    seed (every seed when unknown) and the step.
     """
     seeds = seed if isinstance(seed, tuple) else (seed,)
     layout = nn.default_layout(config.message_count, config.channel_uses,
@@ -252,20 +220,40 @@ def train_autoencoder(config: ExperimentConfig, train_ebn0_db: float, seed):
     # one model's arrays need only a view with the model axis, not a copy
     stacked = (lambda parts: parts[0][None]) if len(seeds) == 1 else np.array
 
-    def next_batch():
+    def failure(kind, text, step, k):
+        named = seeds if k is None else seeds[k:k + 1]
+        return kind(f"training at {train_ebn0_db:g} dB, seed "
+                    f"{', '.join(map(str, named))}: {text}", step=step, model=k)
+
+    params = nn.ModelParams(layout, np.stack(
+        [nn.init_params(layout, s).flat for s in seeds]))
+    state = nn.AdamState.for_params(
+        params, config.learning_rate, config.beta1, config.beta2,
+        config.epsilon)
+    histories = [TrainingHistory() for _ in seeds]
+    work = nn.Workspace()
+    for step in range(1, config.steps + 1):
         draws = [(msg_rng.integers(0, config.message_count, config.batch_size),
                   *channels.draw_disturbance(spec, batch_shape, noise_rng))
                  for msg_rng, noise_rng in streams]
         messages, noise, fade = zip(*draws)
-        return (stacked(messages), stacked(noise),
-                None if fade[0] is None else stacked(fade))
-
-    def where(k):
-        named = seeds if k is None else seeds[k:k + 1]
-        return (f"training at {train_ebn0_db:g} dB, seed "
-                f"{', '.join(map(str, named))}: ")
-
-    pairs = _train(config, layout, seeds, next_batch, where)
+        messages, noise = stacked(messages), stacked(noise)
+        fade = None if fade[0] is None else stacked(fade)
+        try:
+            losses, grads = nn.loss_and_gradients_given(params, messages,
+                                                        noise, fade, work)
+        except (DivergenceError, DegenerateCodewordError) as exc:
+            raise failure(type(exc), exc, step, exc.model) from exc
+        params, state = nn.adam_step(params, grads, state)
+        if not np.isfinite(params.flat).all():
+            finite = np.isfinite(params.flat).all(axis=-1)
+            raise failure(DivergenceError, "non-finite parameters after "
+                          "update", step, int(np.argmin(finite)))
+        if step % config.loss_log_interval == 0 or step == config.steps:
+            for history, loss in zip(histories, losses):
+                history.record(step, loss)
+    pairs = [(nn.ModelParams(layout, flat), history)
+             for flat, history in zip(params.flat, histories)]
     return tuple(pairs) if isinstance(seed, tuple) else pairs[0]
 
 
@@ -320,6 +308,24 @@ def _curve(system, label, train_ebn0_db, system_for, seeds, key, config,
     return BlerCurve(system, label, train_ebn0_db, len(seeds), points)
 
 
+def _autoencoder_curve(config: ExperimentConfig, train_db: float, label,
+                       workers, say):
+    """Train the config's seeds in lockstep at ``train_db`` and return
+    (curve, {seed: ModelParams}).  The curve is labelled ``label`` but draws
+    on the sweep's key for that point, ``ae-train{db:+g}dB``."""
+    say(f"training autoencoders at {train_db:g} dB, seeds "
+        f"{', '.join(map(str, config.seeds))}")
+    trained = train_autoencoder(config, train_db, tuple(config.seeds))
+    models = {seed: params for seed, (params, _) in zip(config.seeds, trained)}
+    say(f"estimating BLER for {label}")
+    curve = _curve(
+        "autoencoder", label, float(train_db),
+        lambda seed, db: autoencoder_system(models[seed],
+                                            config.channel_spec(db)),
+        config.seeds, f"ae-train{train_db:+g}dB", config, workers)
+    return curve, models
+
+
 def run_sweep(config: ExperimentConfig, workers: int = 1,
               progress=None) -> SweepResult:
     """Train one autoencoder per (train Eb/N0, seed), the seeds of one train
@@ -334,21 +340,12 @@ def run_sweep(config: ExperimentConfig, workers: int = 1,
     say = progress if progress is not None else lambda text: None
     curves = []
     models = {}
-
     for train_db in config.train_ebn0_db:
-        say(f"training autoencoders at {train_db:g} dB, seeds "
-            f"{', '.join(map(str, config.seeds))}")
-        trained = train_autoencoder(config, train_db, tuple(config.seeds))
-        for seed, (params, _) in zip(config.seeds, trained):
-            models[(train_db, seed)] = params
-        label = f"ae-train{train_db:+g}dB"
-        say(f"estimating BLER for {label}")
-        curves.append(_curve(
-            "autoencoder", label, float(train_db),
-            lambda seed, db: autoencoder_system(
-                models[(train_db, seed)], config.channel_spec(db)),
-            config.seeds, label, config, workers))
-
+        curve, trained = _autoencoder_curve(
+            config, train_db, f"ae-train{train_db:+g}dB", workers, say)
+        curves.append(curve)
+        models.update({(train_db, seed): params
+                       for seed, params in trained.items()})
     curves.extend(baseline_curves(config, workers=workers, progress=progress))
     return SweepResult(curves, models)
 
@@ -400,59 +397,24 @@ def overlap_table(train_ebn0_db: float, test_ebn0_db, rate) -> list:
 
 # -- width probe --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WidthSweepRow:
-    decoder_hidden: int
-    train_loss: float
-    test_loss: float
-    parameter_count: int
-
-
-def width_sweep(config: ExperimentConfig, widths, train_ebn0_db: float = 7.0,
-                train_set_size: int = 1024, test_set_size: int = 100_000,
-                seed: int | None = None) -> list:
-    """Capacity probe: train on a fixed finite set of (message, noise) draws
-    at several decoder widths and report train/test cross-entropy.
-
-    Exploratory; emits data, asserts nothing about the curve shape.
-    """
-    if any(w < 1 for w in widths):
-        raise ConfigurationError("widths must be >= 1")
-    if seed is None:
-        seed = config.seeds[0]
-    m, n = config.message_count, config.channel_uses
-    spec = config.channel_spec(train_ebn0_db)
-    db = _db_key(train_ebn0_db)
-
-    data_rng = substream(seed, "width-sweep", "dataset", db)
-    train_msgs = data_rng.integers(0, m, train_set_size)
-    train_noise, train_fade = channels.draw_disturbance(
-        spec, (train_set_size, n), data_rng)
-    test_rng = substream(seed, "width-sweep", "test", db)
-    test_msgs = test_rng.integers(0, m, test_set_size)
-    test_noise, test_fade = channels.draw_disturbance(
-        spec, (test_set_size, n), test_rng)
-
-    rows = []
+def width_sweep(config: ExperimentConfig, widths,
+                train_ebn0_db: float = 7.0) -> list:
+    """Capacity probe: the sweep's training and BLER curve at
+    ``train_ebn0_db`` once per decoder width, labelled ``ae-width{w}``.
+    Every width draws the sweep's test blocks for that point, so the curves
+    are a paired comparison and the config's own width reproduces the
+    sweep's curve.  A training failure names the width."""
+    curves = []
     for width in widths:
-        # same batch schedule for every width
-        batch_rng = substream(seed, "width-sweep", "batches")
-
-        def next_batch():
-            idx = batch_rng.integers(0, train_set_size, config.batch_size)
-            fade = None if train_fade is None else train_fade[idx][None]
-            return train_msgs[idx][None], train_noise[idx][None], fade
-
-        [(params, _)] = _train(config, nn.default_layout(m, n, int(width)),
-                               (seed,), next_batch,
-                               lambda _: f"width {width}: ")
-        train_loss = nn.loss_given_disturbance(params, train_msgs, train_noise,
-                                               train_fade)
-        test_loss = nn.loss_given_disturbance(params, test_msgs, test_noise,
-                                              test_fade)
-        rows.append(WidthSweepRow(int(width), train_loss, test_loss,
-                                  params.flat.size))
-    return rows
+        try:
+            curve, _ = _autoencoder_curve(
+                replace(config, decoder_hidden=width), train_ebn0_db,
+                f"ae-width{width}", 1, lambda text: None)
+        except (DivergenceError, DegenerateCodewordError) as exc:
+            raise type(exc)(f"width {width}: {exc.reason}", step=exc.step,
+                            model=exc.model) from exc
+        curves.append(curve)
+    return curves
 
 
 # -- channel-mismatch probe ---------------------------------------------------
@@ -461,8 +423,8 @@ def robustness_probe(params: nn.ModelParams, config: ExperimentConfig,
                      train_ebn0_db: float, seed: int | None = None,
                      rhos=(0.5, 0.9), include_rayleigh: bool = True,
                      workers: int = 1) -> list:
-    """Evaluate an AWGN-trained model under correlated-noise and Rayleigh
-    variants, side by side with its AWGN curve.
+    """Evaluate a model trained on the configured channel under
+    correlated-noise and Rayleigh variants, side by side with its AWGN curve.
 
     All variants at one test point share one substream per chunk, and the
     additive noise is drawn before the fade, so the comparisons are paired:
@@ -538,11 +500,6 @@ def baseline_to_csv(curves, channel_kind: str = "awgn") -> str:
 
 def overlap_to_csv(rows) -> str:
     return _csv("test_ebn0_db,overlap_pct,kl_nats", map(astuple, rows))
-
-
-def width_sweep_to_csv(rows) -> str:
-    return _csv("decoder_hidden,train_loss,test_loss,parameter_count",
-                map(astuple, rows))
 
 
 def history_to_csv(history: TrainingHistory) -> str:

@@ -280,7 +280,11 @@ def predict(params: ModelParams, received) -> np.ndarray:
 
 
 def _check_batch(params, messages):
-    messages = np.asarray(messages, dtype=np.int64)
+    messages = np.asarray(messages)
+    if messages.dtype.kind not in "iu":  # a cast would truncate 2.7 to 2
+        raise ValueError(f"message indices must have an integer dtype, got "
+                         f"{messages.dtype}")
+    messages = messages.astype(np.int64, copy=False)
     if messages.shape[:-1] != params.flat.shape[:-1] or messages.size == 0:
         raise ValueError("batch must be a non-empty 1-D index array per model")
     if messages.min() < 0 or messages.max() >= params.message_count:
@@ -510,6 +514,9 @@ def _header(layout: NetworkLayout) -> bytes:
 
 
 def save_checkpoint(params: ModelParams, path):
+    if params.flat.ndim != 1:
+        raise ConfigurationError(
+            f"one model per checkpoint; got a stack of {len(params.flat)}")
     with open(path, "wb") as fh:
         fh.write(_header(params.layout) + params.flat.astype("<f8").tobytes())
 

@@ -2,11 +2,14 @@
 
 perfbench/tracing.py names the functions its per-layer metrics come from,
 and its training probe calls ``harness.train_autoencoder(config, db, seed)``.
-A refactor that renames, hides or bypasses one of them breaks the traced
-benchmark without failing any other test.  The tracer's source is compiled
-here as it stands; nothing is written next to it.
+perfbench/workloads.py and perfbench/run.py call the program's modules
+directly.  A refactor that renames, hides or bypasses one of them, or drops
+an argument such a call passes, breaks the benchmark without failing any
+other test.  The benchmark's sources are read as they stand; nothing is
+written next to them.
 """
 
+import ast
 import importlib
 import inspect
 import types
@@ -18,7 +21,12 @@ import pytest
 from aecomm import ExperimentConfig, cli, harness, nn
 from aecomm.config import save_config
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+# the benchmark sources whose calls into the program are checked, and the
+# aecomm modules whose attributes they call
+CALLERS = (PERFBENCH / "workloads.py", PERFBENCH / "run.py")
+CALLED = ("harness", "config", "nn", "codecs", "cli")
 
 
 @pytest.fixture(scope="module")
@@ -74,3 +82,45 @@ def test_traced_sweep_reaches_every_training_function(tracing, tmp_path):
     assert calls["nn.loss_and_gradients_given"] == 4
     assert calls["nn.adam_step"] == 4
     assert calls["cli.run_command"] == 1
+
+
+def program_calls(path):
+    """Every call of an attribute of an aecomm module in ``CALLED`` that the
+    file imports by name, e.g. ``harness.estimate_bler(...)``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    imported = {alias.asname or alias.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "aecomm"
+                for alias in node.names}
+    modules = imported.intersection(CALLED)
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in modules]
+
+
+def test_benchmark_calls_bind_to_current_signatures():
+    faults, checked = [], 0
+    for path in CALLERS:
+        for call in program_calls(path):
+            module, attr = call.func.value.id, call.func.attr
+            where = f"{path.name}:{call.lineno} {module}.{attr}"
+            fn = getattr(importlib.import_module(f"aecomm.{module}"), attr,
+                         None)
+            if not callable(fn):
+                faults.append(f"{where}: not a callable of aecomm.{module}")
+                continue
+            # a starred argument has no count to check
+            assert not any(isinstance(a, ast.Starred) for a in call.args), where
+            assert all(k.arg is not None for k in call.keywords), where
+            try:
+                inspect.signature(fn).bind(*call.args,
+                                           **{k.arg: k for k in call.keywords})
+            except TypeError as exc:
+                faults.append(f"{where}: {exc}")
+            checked += 1
+    assert not faults, faults
+    # the workloads call the program in many places; none found means the
+    # parse above no longer sees them
+    assert checked >= 10

@@ -329,6 +329,16 @@ class TestRobustness:
         manifest = read_manifest(out)
         assert manifest["command"] == "robustness"
 
+    def test_reference_model_trains_on_the_configured_channel(self, tmp_path,
+                                                              capsys):
+        cfg = quick_cfg(tmp_path, channel_kind="rayleigh", steps=20,
+                        test_ebn0_start=8.0, test_ebn0_stop=8.0,
+                        max_blocks=2_000)
+        assert run_command(["robustness", "--config", cfg,
+                            "--out", str(tmp_path / "run")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "training reference model on rayleigh at 7 dB, seed 0" in lines
+
 
 class TestEntryPoints:
     def test_start_up_leaves_scipy_unimported(self):

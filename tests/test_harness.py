@@ -629,34 +629,51 @@ class TestOverlapTable:
 
 
 class TestWidthSweep:
+    """The width probe is the sweep's training and curve at one point, once
+    per decoder width."""
+
     def test_single_width_single_row(self):
-        config = reduced_config(steps=120)
-        rows = harness.width_sweep(config, [8], train_set_size=256,
-                                   test_set_size=4_000)
-        assert len(rows) == 1
-        assert rows[0].decoder_hidden == 8
+        [curve] = harness.width_sweep(reduced_config(steps=60), [8])
+        assert (curve.label, len(curve.points)) == ("ae-width8", 4)
 
-    def test_parameter_count_is_analytic(self):
-        config = reduced_config(steps=30)
-        for row in harness.width_sweep(config, [4, 16], train_set_size=128,
-                                       test_set_size=1_000):
-            w, m, n = row.decoder_hidden, 16, 7
-            want = (m * m + m) + (m * n + n) + (n * w + w) + (w * m + m)
-            assert row.parameter_count == want
+    def test_configured_width_reproduces_the_sweep(self, monkeypatch):
+        config = reduced_config(steps=150, seeds=(0, 1))
+        sweep = harness.run_sweep(config)
+        real = harness.train_autoencoder
+        trained = []
 
-    def test_capacity_reduces_train_loss(self):
-        config = reduced_config(steps=700)
-        rows = harness.width_sweep(config, [2, 32], train_set_size=512,
-                                   test_set_size=2_000)
-        narrow, wide = rows
-        assert wide.train_loss <= narrow.train_loss * 1.05
+        def recording(*args):
+            trained.append(real(*args))
+            return trained[-1]
+
+        monkeypatch.setattr(harness, "train_autoencoder", recording)
+        [curve] = harness.width_sweep(config, [config.decoder_hidden])
+        assert (curve.system, curve.label, curve.train_ebn0_db,
+                curve.seed_count) == ("autoencoder", "ae-width16", 7.0, 2)
+        assert curve.points == sweep.curves[0].points
+        [pairs] = trained
+        for seed, (params, _) in zip(config.seeds, pairs):
+            assert (params.flat.tobytes()
+                    == sweep.models[(7.0, seed)].flat.tobytes())
+
+    def test_widths_share_test_blocks_and_narrow_is_worse(self):
+        # a target above max_blocks: every point runs to the cap, so both
+        # widths see the same blocks and differ only in their errors
+        config = reduced_config(steps=700, target_block_errors=10_001,
+                                max_blocks=10_000)
+        narrow, wide = harness.width_sweep(config, [2, 32])
+        assert [c.label for c in (narrow, wide)] == ["ae-width2", "ae-width32"]
+        assert [p.blocks for p in narrow.points] == [
+            p.blocks for p in wide.points]
+        assert narrow.points[-1].ci_low > wide.points[-1].ci_high
 
     def test_degenerate_codeword_names_width_and_step(self, monkeypatch):
-        degenerate_at_call(monkeypatch, 3)
+        degenerate_at_call(monkeypatch, 13)  # step 3 after width 16's 10
         with pytest.raises(DegenerateCodewordError,
-                           match=r"^width 8: .*\(at step 3\)$") as info:
-            harness.width_sweep(reduced_config(steps=10), [8],
-                                train_set_size=64, test_set_size=100)
+                           match=r"^width 8: training at 7 dB, seed 0: "
+                                 r"encoder output has zero norm "
+                                 r"\(at step 3\)$") as info:
+            harness.width_sweep(reduced_config(steps=10), [16, 8])
         assert info.value.step == 3
 
     def test_nonfinite_parameters_name_width_and_step(self, monkeypatch):
@@ -666,20 +683,23 @@ class TestWidthSweep:
             params, state = real(params, grads, state)
             if state.step == 3:
                 params = params.copy()
-                params.flat[0] = np.nan
+                params.flat[1, 0] = np.nan
             return params, state
 
         monkeypatch.setattr(nn, "adam_step", poisoned)
         with pytest.raises(DivergenceError,
-                           match=r"^width 8: non-finite parameters after "
-                                 r"update \(at step 3\)$") as info:
-            harness.width_sweep(reduced_config(steps=10), [8],
-                                train_set_size=64, test_set_size=100)
-        assert info.value.step == 3
+                           match=r"^width 8: training at -1 dB, seed 5: "
+                                 r"non-finite parameters after update "
+                                 r"\(at step 3\)$") as info:
+            harness.width_sweep(reduced_config(steps=10, seeds=(4, 5)), [8],
+                                train_ebn0_db=-1.0)
+        assert (info.value.step, info.value.model) == (3, 1)
 
     def test_invalid_width_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError,
+                           match=r"^decoder_hidden: must be >= 1$") as info:
             harness.width_sweep(reduced_config(), [0])
+        assert info.value.key == "decoder_hidden"
 
 
 class TestEmitters:
@@ -723,12 +743,6 @@ class TestEmitters:
         history.record(200, 0.25)
         assert harness.history_to_csv(history) == "step,loss\n100,0.5\n200,0.25\n"
 
-    def test_width_csv(self):
-        rows = [harness.WidthSweepRow(4, 0.5, 0.6, 123)]
-        lines = harness.width_sweep_to_csv(rows).splitlines()
-        assert lines[0] == "decoder_hidden,train_loss,test_loss,parameter_count"
-        assert lines[1] == "4,0.5,0.6,123"
-
     # hand-built rows: floats in repr form (0.1, 1e-05), an empty train
     # column on the baseline curves and an empty closed form for MLD
     AE = harness.BlerCurve("autoencoder", "ae-train+7dB", 7.0, 3, [
@@ -763,13 +777,6 @@ class TestEmitters:
         assert harness.overlap_to_csv(rows) == (
             "test_ebn0_db,overlap_pct,kl_nats\n-4.0,0.1,1e-05\n"
             "7.0,100.0,0.0\n")
-
-    def test_width_csv_bytes(self):
-        rows = [harness.WidthSweepRow(4, 0.1, 1e-05, 123),
-                harness.WidthSweepRow(32, 2.5, 0.30000000000000004, 1207)]
-        assert harness.width_sweep_to_csv(rows) == (
-            "decoder_hidden,train_loss,test_loss,parameter_count\n"
-            "4,0.1,1e-05,123\n32,2.5,0.30000000000000004,1207\n")
 
     def test_history_csv_bytes(self):
         history = harness.TrainingHistory()

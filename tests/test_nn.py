@@ -85,6 +85,14 @@ class TestInit:
         assert params.decoder[0].weight.shape == (7, 32)
         assert params.decoder[1].weight.shape == (32, 16)
 
+    def test_parameter_count_is_analytic(self):
+        m, n = 16, 7
+        for w in (2, 4, 16):
+            layout = nn.default_layout(m, n, w)
+            want = (m * m + m) + (m * n + n) + (n * w + w) + (w * m + m)
+            assert layout.parameter_count == want
+            assert nn.init_params(layout, 0).flat.size == want
+
 
 class TestEncode:
     def test_energy_constraint_all_messages(self, quick_model):
@@ -294,6 +302,27 @@ class TestLossAndGradients:
                 quick_model, np.array([], dtype=int), np.zeros((0, 7))
             )
 
+    @pytest.mark.parametrize("messages", [[2.7, 5.2], [2.0, 5.0], [True, False]],
+                             ids=["fractional", "integral-float", "bool"])
+    def test_non_integer_indices_rejected(self, quick_model, messages):
+        noise = np.zeros((2, 7))
+        with pytest.raises(ValueError, match="integer dtype"):
+            nn.loss_and_gradients_given(quick_model, messages, noise)
+        with pytest.raises(ValueError, match="integer dtype"):
+            nn.loss_given_disturbance(quick_model, messages, noise)
+
+    def test_integer_indices_of_any_width_accepted(self, quick_model):
+        messages = substream(0, "nn-test").integers(0, 16, 8)
+        noise = np.zeros((8, 7))
+        want, want_grads = nn.loss_and_gradients_given(quick_model, messages,
+                                                       noise)
+        for same in (messages.astype(np.int32), messages.astype(np.uint8),
+                     messages.tolist()):
+            loss, grads = nn.loss_and_gradients_given(quick_model, same,
+                                                      noise)
+            assert loss == want
+            assert np.array_equal(grads.flat, want_grads.flat)
+
 
 class TestAdam:
     def test_zero_gradient_fixed_point(self):
@@ -410,6 +439,15 @@ class TestCheckpoint:
         with pytest.raises(ConfigurationError,
                            match=rf"model\.ckpt: .*{fault}"):
             nn.load_checkpoint(path)
+
+    def test_stack_rejected_on_save(self, quick_model, tmp_path):
+        path = tmp_path / "model.ckpt"
+        stacked = nn.ModelParams(quick_model.layout,
+                                 np.stack([quick_model.flat] * 2))
+        with pytest.raises(ConfigurationError,
+                           match="one model per checkpoint; got a stack of 2"):
+            nn.save_checkpoint(stacked, path)
+        assert not path.exists()
 
     def test_trailing_bytes_rejected(self, quick_model, tmp_path):
         path = tmp_path / "model.ckpt"
