@@ -17,8 +17,7 @@ WIDTHS = (2, 4, 8, 16, 32, 64)
 
 def decoder_macs(layout):
     """Multiply-accumulates of the decoder's dense layers per block."""
-    decoder = layout.layers[len(layout.encoder_sizes) - 1:]
-    return sum(fan_in * fan_out for _, fan_in, fan_out, _ in decoder)
+    return sum(fan_in * fan_out for _, fan_in, fan_out, _ in layout.layers[2:])
 
 
 def main():
@@ -36,8 +35,8 @@ def main():
           + "   ".join(f"{f'BLER @ {db:g} dB':>13s}"
                        for db in config.test_grid()))
     for width, curve in zip(WIDTHS, curves):
-        layout = nn.default_layout(config.message_count, config.channel_uses,
-                                   width)
+        layout = nn.NetworkLayout(config.message_count, config.channel_uses,
+                                  width)
         blers = "   ".join(f"{p.bler:13.3e}" for p in curve.points)
         print(f"{curve.label:14s}  {layout.parameter_count:6d}   "
               f"{decoder_macs(layout):10d}   {blers}")

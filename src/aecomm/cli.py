@@ -78,15 +78,12 @@ class _Run:
         return os.path.join(self.out_dir, name)
 
     def write_text(self, name, text):
+        self.write_bytes(name, text.encode("utf-8"))
+
+    def write_bytes(self, name, data: bytes):
         os.makedirs(self.out_dir, exist_ok=True)
-        data = text.encode("utf-8")
         _atomic_write(self.path(name), data)
         self.outputs[name] = _digest(data)
-        self.say(f"wrote {self.path(name)}")
-
-    def add_file(self, name):
-        with open(self.path(name), "rb") as fh:
-            self.outputs[name] = _digest(fh.read())
         self.say(f"wrote {self.path(name)}")
 
     def finish(self) -> int:
@@ -163,9 +160,7 @@ def _cmd_train(run, args, config):
     params, history = harness.train_autoencoder(config, train_db, seed)
     run.say(f"final loss {history.losses[-1]:.6g}")
     stem = f"model_train{train_db:+g}dB_seed{seed}"
-    os.makedirs(run.out_dir, exist_ok=True)
-    nn.save_checkpoint(params, run.path(stem + ".ckpt"))
-    run.add_file(stem + ".ckpt")
+    run.write_bytes(stem + ".ckpt", nn.checkpoint_bytes(params))
     run.write_text(stem + "_history.csv", harness.history_to_csv(history))
     return run.finish()
 

@@ -13,7 +13,8 @@ comma-separated; the code rate is written as k/n in lowest terms (``4/7``),
 which fixes block_bits = k and channel_uses = n.
 """
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,11 @@ from .errors import ConfigFileError, ConfigurationError
 # the reference grid has 25 points; the bound turns a mistyped step into an
 # error instead of an array too large to allocate or a run without end
 MAX_TEST_POINTS = 10_000
+
+# what each field's annotation admits: NumPy numbers pass, bools do not
+_KINDS = {int: (numbers.Integral, "an integer"),
+          float: (numbers.Real, "a real number"),
+          Fraction: (Fraction, "a Fraction")}
 
 
 @dataclass(frozen=True)
@@ -59,6 +65,18 @@ class ExperimentConfig:
             if not cond:
                 raise ConfigurationError(f"{key}: {text}", key=key)
 
+        def typed(value, kind):  # True is an Integral, but no size or seed
+            return isinstance(value, kind) and not isinstance(value, bool)
+
+        # types first: a config built in code skips the file parsers, and a
+        # float size or seed would fail deep in a run or truncate silently
+        for f in (f for f in fields(self) if f.type in _KINDS):
+            (kind, text), value = _KINDS[f.type], getattr(self, f.name)
+            require(typed(value, kind), f.name, f"must be {text}, got {value!r}")
+        require(all(typed(s, numbers.Integral) for s in self.seeds), "seeds",
+                "entries must be integers")
+        require(all(typed(v, numbers.Real) for v in self.train_ebn0_db),
+                "train_ebn0_db", "entries must be real numbers")
         require(self.channel_kind in CHANNEL_KINDS, "kind",
                 f"must be one of {CHANNEL_KINDS}")
         require(0 < self.rate <= 1, "rate", f"must be in (0, 1], got {self.rate}")

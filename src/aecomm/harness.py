@@ -210,8 +210,8 @@ def train_autoencoder(config: ExperimentConfig, train_ebn0_db: float, seed):
     seed (every seed when unknown) and the step.
     """
     seeds = seed if isinstance(seed, tuple) else (seed,)
-    layout = nn.default_layout(config.message_count, config.channel_uses,
-                               config.decoder_hidden)
+    layout = nn.NetworkLayout(config.message_count, config.channel_uses,
+                              config.decoder_hidden)
     spec = config.channel_spec(train_ebn0_db)
     db = _db_key(train_ebn0_db)
     streams = [(substream(s, "train", db), substream(s, "channel", "train", db))

@@ -1,11 +1,11 @@
 """Minimal dense feedforward engine for the block autoencoder.
 
 The transmitter embeds a message index as a one-hot vector, runs it through
-dense layers, and energy-normalizes the output so every codeword satisfies
-||x||^2 = n exactly.  The receiver runs the noisy observation through dense
-layers and a softmax over all messages.  Backpropagation treats the channel
-as a pass-through (additive noise; the rayleigh fade scales the gradient)
-and differentiates the normalization as the projection it is.
+two dense layers, and energy-normalizes the output so every codeword
+satisfies ||x||^2 = n exactly.  The receiver runs the noisy observation
+through two dense layers and a softmax over all messages.  Backpropagation
+treats the channel as a pass-through (additive noise; the rayleigh fade
+scales the gradient) and differentiates the normalization as a projection.
 
 Everything is float64 and deterministic given a seed.
 """
@@ -24,34 +24,22 @@ _NORM_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class NetworkLayout:
-    """Full layer-size chains; first/last entries are pinned by M and n.
-
-    Hidden layers are ReLU and each stack's last layer is linear, so the
-    sizes fix the whole model.  Checked at construction.
-    """
+    """M messages, n channel uses and the decoder's hidden width, checked at
+    construction.  They fix the layers: M→M ReLU and M→n linear in the
+    encoder, n→width ReLU and width→M linear in the decoder."""
 
     message_count: int = 16
     channel_uses: int = 7
-    encoder_sizes: tuple = (16, 16, 7)
-    decoder_sizes: tuple = (7, 16, 16)
+    decoder_hidden: int = 16
 
     def __post_init__(self):
-        m, n = self.message_count, self.channel_uses
+        m = self.message_count
         if m < 1 or m & (m - 1):
             raise ConfigurationError(f"message_count {m} is not a power of two")
-        for name, sizes, first, last in (
-            ("encoder", self.encoder_sizes, m, n),
-            ("decoder", self.decoder_sizes, n, m),
-        ):
-            if len(sizes) < 2:
-                raise ConfigurationError(f"{name} has no layers")
-            if any(s < 1 for s in sizes):
+        for name in ("channel_uses", "decoder_hidden"):
+            if getattr(self, name) < 1:
                 raise ConfigurationError(
-                    f"{name} layer sizes must be >= 1, got {tuple(sizes)}")
-            if (sizes[0], sizes[-1]) != (first, last):
-                raise ConfigurationError(
-                    f"{name} sizes {tuple(sizes)} must run from {first} to "
-                    f"{last}")
+                    f"{name} must be >= 1, got {getattr(self, name)}")
 
     @property
     def block_bits(self) -> int:
@@ -63,29 +51,18 @@ class NetworkLayout:
         """(offset, fan_in, fan_out, activation) per layer, encoder first.
         The layer's weight starts at ``offset`` in ``ModelParams.flat`` and
         its bias follows the weight."""
+        m, n, w = self.message_count, self.channel_uses, self.decoder_hidden
         out, offset = [], 0
-        for sizes in (self.encoder_sizes, self.decoder_sizes):
-            last = len(sizes) - 2
-            for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-                out.append((offset, fan_in, fan_out,
-                            "relu" if i < last else "linear"))
-                offset += fan_in * fan_out + fan_out
+        for fan_in, fan_out, activation in ((m, m, "relu"), (m, n, "linear"),
+                                            (n, w, "relu"), (w, m, "linear")):
+            out.append((offset, fan_in, fan_out, activation))
+            offset += fan_in * fan_out + fan_out
         return tuple(out)
 
     @cached_property
     def parameter_count(self) -> int:
         offset, fan_in, fan_out, _ = self.layers[-1]
         return offset + fan_in * fan_out + fan_out
-
-
-def default_layout(message_count=16, channel_uses=7, decoder_hidden=None):
-    hidden = message_count if decoder_hidden is None else decoder_hidden
-    return NetworkLayout(
-        message_count=message_count,
-        channel_uses=channel_uses,
-        encoder_sizes=(message_count, message_count, channel_uses),
-        decoder_sizes=(channel_uses, hidden, message_count),
-    )
 
 
 class DenseLayer(NamedTuple):
@@ -126,9 +103,8 @@ class ModelParams:
             layers.append(DenseLayer(
                 flat[..., offset:end].reshape(lead + (fan_in, fan_out)),
                 flat[..., end:end + fan_out], activation))
-        n_enc = len(self.layout.encoder_sizes) - 1
-        object.__setattr__(self, "encoder", tuple(layers[:n_enc]))
-        object.__setattr__(self, "decoder", tuple(layers[n_enc:]))
+        object.__setattr__(self, "encoder", tuple(layers[:2]))
+        object.__setattr__(self, "decoder", tuple(layers[2:]))
 
     @property
     def message_count(self) -> int:
@@ -426,7 +402,7 @@ def gradient_check(seed: int = 0, cases: int = 10, batch_size: int = 8,
     sigmas = (0.0, 0.05, 0.2, 0.6, 1.0)
     worst = 0.0
     for case in range(cases):
-        layout = default_layout(decoder_hidden=16 if case % 2 == 0 else 12)
+        layout = NetworkLayout(decoder_hidden=16 if case % 2 == 0 else 12)
         params = init_params(layout, 1000 * seed + case)
         messages = rng.integers(0, params.message_count, batch_size)
         noise = sigmas[case % len(sigmas)] * rng.standard_normal(
@@ -455,10 +431,12 @@ class AdamState:
     @classmethod
     def for_params(cls, params, learning_rate=1e-3, beta1=0.9, beta2=0.999,
                    epsilon=1e-8):
-        for name, value in (("learning_rate", learning_rate), ("beta1", beta1),
-                            ("beta2", beta2), ("epsilon", epsilon)):
-            if not value > 0.0:
-                raise ConfigurationError(f"{name} must be positive, got {value}")
+        for name, value, high in (("learning_rate", learning_rate, np.inf),
+                                  ("beta1", beta1, 1.0), ("beta2", beta2, 1.0),
+                                  ("epsilon", epsilon, np.inf)):
+            if not 0.0 < value < high:
+                raise ConfigurationError(
+                    f"{name} must be in (0, {high:g}), got {value}")
         return cls(np.zeros_like(params.flat), np.zeros_like(params.flat), 0,
                    learning_rate, beta1, beta2, epsilon)
 
@@ -506,50 +484,49 @@ _ACT_CODE = {"linear": 0, "relu": 1}
 
 def _header(layout: NetworkLayout) -> bytes:
     words = [CHECKPOINT_VERSION, layout.message_count, layout.block_bits,
-             layout.channel_uses, len(layout.encoder_sizes) - 1,
-             len(layout.decoder_sizes) - 1]
+             layout.channel_uses, 2, 2]
     for _, fan_in, fan_out, activation in layout.layers:
         words += [fan_in, fan_out, _ACT_CODE[activation]]
     return CHECKPOINT_MAGIC + np.asarray(words, dtype="<u4").tobytes()
 
 
-def save_checkpoint(params: ModelParams, path):
+def checkpoint_bytes(params: ModelParams) -> bytes:
+    """The checkpoint file's bytes for one model."""
     if params.flat.ndim != 1:
         raise ConfigurationError(
             f"one model per checkpoint; got a stack of {len(params.flat)}")
+    return _header(params.layout) + params.flat.astype("<f8").tobytes()
+
+
+def save_checkpoint(params: ModelParams, path):
+    data = checkpoint_bytes(params)  # raises before the file is opened
     with open(path, "wb") as fh:
-        fh.write(_header(params.layout) + params.flat.astype("<f8").tobytes())
+        fh.write(data)
 
 
 def load_checkpoint(path) -> ModelParams:
-    """Read a checkpoint.  The header must be the one its layout writes: a
-    chain of layer sizes, ReLU hidden layers, linear output layers and
-    M = 2^k; every fault names the file."""
+    """Read a checkpoint.  The header must be the one its layout writes: two
+    layers per stack, ReLU then linear, and M = 2^k; every fault names the
+    file."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != CHECKPOINT_MAGIC:
         raise ConfigurationError(f"{path}: not a model checkpoint")
-
-    def chain(rows):
-        return tuple(rows[:1, 0].tolist() + rows[:, 1].tolist())
-
     try:
-        fields = np.frombuffer(blob, dtype="<u4", count=6, offset=8)
-        version, m, k, n, n_enc, n_dec = (int(v) for v in fields)
+        # version, M, k, n, 2, 2, a row per layer; width is row 3's fan_out
+        words = np.frombuffer(blob, dtype="<u4", count=18, offset=8)
+        version, m, k, n = (int(v) for v in words[:4])
         if version != CHECKPOINT_VERSION:
             raise ConfigurationError(
                 f"unsupported checkpoint version {version}")
-        table = np.frombuffer(blob, dtype="<u4", count=3 * (n_enc + n_dec),
-                              offset=32).reshape(-1, 3)
-        layout = NetworkLayout(m, n, chain(table[:n_enc]),
-                               chain(table[n_enc:]))
+        layout = NetworkLayout(m, n, int(words[13]))
         if k != layout.block_bits:
             raise ConfigurationError(f"k={k} does not match M={m}")
         header = _header(layout)
         if blob[:len(header)] != header:
             raise ConfigurationError(
-                "layer table is not a chain of ReLU hidden layers and a "
-                "linear output layer per stack")
+                "layer table is not a chain of two layers per stack, ReLU "
+                "then linear")
         flat = np.frombuffer(blob, dtype="<f8", count=layout.parameter_count,
                              offset=len(header)).astype(np.float64)
     except ConfigurationError as exc:

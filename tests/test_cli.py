@@ -247,6 +247,27 @@ class TestTrain:
                             "--quiet", "--out", str(out)]) == 0
         assert (out / "model_train+infdB_seed0.ckpt").exists()
 
+    def test_failed_write_keeps_the_old_checkpoint(self, tmp_path, capsys,
+                                                   monkeypatch):
+        out = tmp_path / "run"
+        first = quick_cfg(tmp_path, steps=20)
+        assert run_command(["train", "--config", first, "--quiet",
+                            "--out", str(out)]) == 0
+        ckpt = out / "model_train+7dB_seed0.ckpt"
+        good, listing = ckpt.read_bytes(), sorted(os.listdir(out))
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        (tmp_path / "other").mkdir()
+        other = quick_cfg(tmp_path / "other", steps=30)
+        assert run_command(["train", "--config", other, "--quiet",
+                            "--out", str(out)]) == 2
+        assert "disk full" in capsys.readouterr().err
+        assert ckpt.read_bytes() == good
+        assert sorted(os.listdir(out)) == listing
+
     def test_seed_override_changes_manifest_and_stem(self, tmp_path):
         out = tmp_path / "run"
         cfg = quick_cfg(tmp_path)

@@ -166,6 +166,34 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="target_block_errors"):
             ExperimentConfig(target_block_errors=0).validate()
 
+    # a config built in code skips the file parsers, so each value's type is
+    # checked: these once failed deep in a run or ran at a truncated size
+    @pytest.mark.parametrize("key, value, pattern", [
+        ("decoder_hidden", 2.5, r"must be an integer, got 2\.5"),
+        ("batch_size", 8.0, r"must be an integer, got 8\.0"),
+        ("max_blocks", 1e3, r"must be an integer, got 1000\.0"),
+        ("steps", True, r"must be an integer, got True"),
+        ("rate", 0.5, r"must be a Fraction, got 0\.5"),
+        ("seeds", (0.5,), r"entries must be integers"),
+        ("seeds", (False,), r"entries must be integers"),
+        ("learning_rate", True, r"must be a real number, got True"),
+        ("rho", "0", r"must be a real number, got '0'"),
+        ("train_ebn0_db", (7.0, "8"), r"entries must be real numbers"),
+    ], ids=["width-2.5", "batch-8.0", "blocks-1e3", "steps-bool", "rate-0.5",
+            "seed-0.5", "seed-bool", "lr-bool", "rho-str", "train-db-str"])
+    def test_wrong_type_rejected(self, key, value, pattern):
+        with pytest.raises(ConfigurationError,
+                           match=rf"^{key}: {pattern}$") as err:
+            ExperimentConfig(**{key: value})
+        assert err.value.key == key
+
+    def test_numpy_numbers_accepted(self):
+        config = ExperimentConfig(
+            decoder_hidden=np.int32(8), max_blocks=np.int64(1000),
+            seeds=(np.int64(3), 4), rho=np.float32(0.5), learning_rate=1,
+            train_ebn0_db=(np.float64(7.0),))
+        assert config.decoder_hidden == 8 and config.seeds == (3, 4)
+
 
 # validation faults that a file can hold: (text, line, message pattern)
 INVALID_FILES = [

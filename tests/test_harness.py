@@ -322,8 +322,8 @@ class TestTraining:
         config = reduced_config(steps=0)
         params, history = harness.train_autoencoder(config, 7.0, 3)
         init = nn.init_params(
-            nn.default_layout(config.message_count, config.channel_uses,
-                              config.decoder_hidden), 3
+            nn.NetworkLayout(config.message_count, config.channel_uses,
+                             config.decoder_hidden), 3
         )
         assert np.array_equal(params.flat, init.flat)
         assert history.steps == []

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -47,40 +49,54 @@ def fitted_decoder(params, scale=None):
 
 class TestInit:
     def test_deterministic(self):
-        a = nn.init_params(nn.default_layout(), 42)
-        b = nn.init_params(nn.default_layout(), 42)
+        a = nn.init_params(nn.NetworkLayout(), 42)
+        b = nn.init_params(nn.NetworkLayout(), 42)
         assert np.array_equal(a.flat, b.flat)
 
     def test_seeds_differ(self):
-        a = nn.init_params(nn.default_layout(), 1)
-        b = nn.init_params(nn.default_layout(), 2)
+        a = nn.init_params(nn.NetworkLayout(), 1)
+        b = nn.init_params(nn.NetworkLayout(), 2)
         assert not np.array_equal(a.encoder[0].weight, b.encoder[0].weight)
 
     def test_biases_zero(self):
-        params = nn.init_params(nn.default_layout(), 1)
+        params = nn.init_params(nn.NetworkLayout(), 1)
         for layer in params.encoder + params.decoder:
             assert np.all(layer.bias == 0.0)
 
     def test_weight_scale(self):
-        params = nn.init_params(nn.default_layout(), 3)
+        params = nn.init_params(nn.NetworkLayout(), 3)
         w = params.encoder[0].weight  # fan_in 16 -> std 0.25
         assert abs(w.std() - 0.25) < 0.05
 
     def test_hidden_relu_output_linear(self):
-        params = nn.init_params(nn.default_layout(), 0)
+        params = nn.init_params(nn.NetworkLayout(), 0)
         assert [l.activation for l in params.encoder] == ["relu", "linear"]
         assert [l.activation for l in params.decoder] == ["relu", "linear"]
 
     def test_bad_encoder_output_width(self):
-        with pytest.raises(ConfigurationError):
-            nn.init_params(nn.NetworkLayout(16, 7, (16, 16, 6), (7, 16, 16)), 0)
+        with pytest.raises(ConfigurationError, match="channel_uses must be"):
+            nn.NetworkLayout(16, 0, 16)
 
     def test_bad_message_count(self):
-        with pytest.raises(ConfigurationError):
-            nn.init_params(nn.NetworkLayout(12, 7, (12, 12, 7), (7, 12, 12)), 0)
+        with pytest.raises(ConfigurationError, match="not a power of two"):
+            nn.NetworkLayout(12, 7, 16)
+
+    def test_bad_decoder_width(self):
+        with pytest.raises(ConfigurationError, match="decoder_hidden must be"):
+            nn.NetworkLayout(16, 7, 0)
+
+    def test_layout_is_three_sizes(self):
+        layout = nn.NetworkLayout()
+        assert (layout.message_count, layout.channel_uses,
+                layout.decoder_hidden) == (16, 7, 16)
+        assert [f.name for f in dataclasses.fields(layout)] == [
+            "message_count", "channel_uses", "decoder_hidden"]
+        assert [row[1:] for row in nn.NetworkLayout(16, 7, 12).layers] == [
+            (16, 16, "relu"), (16, 7, "linear"), (7, 12, "relu"),
+            (12, 16, "linear")]
 
     def test_decoder_hidden_override(self):
-        layout = nn.default_layout(decoder_hidden=32)
+        layout = nn.NetworkLayout(decoder_hidden=32)
         params = nn.init_params(layout, 0)
         assert params.decoder[0].weight.shape == (7, 32)
         assert params.decoder[1].weight.shape == (32, 16)
@@ -88,7 +104,7 @@ class TestInit:
     def test_parameter_count_is_analytic(self):
         m, n = 16, 7
         for w in (2, 4, 16):
-            layout = nn.default_layout(m, n, w)
+            layout = nn.NetworkLayout(m, n, w)
             want = (m * m + m) + (m * n + n) + (n * w + w) + (w * m + m)
             assert layout.parameter_count == want
             assert nn.init_params(layout, 0).flat.size == want
@@ -101,7 +117,7 @@ class TestEncode:
         assert np.all(np.abs(norms - 7.0) <= 1e-9)
 
     def test_energy_constraint_at_init(self):
-        params = nn.init_params(nn.default_layout(), 11)
+        params = nn.init_params(nn.NetworkLayout(), 11)
         norms = (nn.codebook(params) ** 2).sum(axis=1)
         assert np.all(np.abs(norms - 7.0) <= 1e-9)
 
@@ -109,7 +125,7 @@ class TestEncode:
         assert np.array_equal(nn.codebook(quick_model), nn.codebook(quick_model))
 
     def test_degenerate_zero_output(self):
-        params = nn.init_params(nn.default_layout(), 0)
+        params = nn.init_params(nn.NetworkLayout(), 0)
         for layer in params.encoder:
             layer.weight[...] = 0.0
         with pytest.raises(DegenerateCodewordError):
@@ -137,7 +153,7 @@ class TestDecode:
             assert abs(sum(posterior) - 1.0) <= 1e-12
 
     def test_zero_decoder_gives_uniform(self):
-        params = nn.init_params(nn.default_layout(), 0)
+        params = nn.init_params(nn.NetworkLayout(), 0)
         for layer in params.decoder:
             layer.weight[...] = 0.0
         noise = substream(4, "dec").standard_normal((16, 7))
@@ -145,7 +161,7 @@ class TestDecode:
         assert loss == pytest.approx(np.log(16.0), rel=0, abs=1e-15)
 
     def test_predict_tie_break_lowest_index(self):
-        params = nn.init_params(nn.default_layout(), 0)
+        params = nn.init_params(nn.NetworkLayout(), 0)
         for layer in params.decoder:
             layer.weight[...] = 0.0
         assert nn.predict(params, np.ones(7)) == 0
@@ -218,19 +234,17 @@ def batch_major_loss_and_gradients(params, messages, noise, fade=None):
 
 
 class TestLossAndGradients:
-    @pytest.mark.parametrize("decoder_sizes, batch, faded", [
-        ((7, 16, 16), 256, False),
-        ((7, 16, 16), 256, True),
-        ((7, 12, 20, 16), 256, False),
-        ((7, 12, 20, 16), 64, True),
-        ((7, 16, 16), 5, False),  # most codewords get no gradient
-    ], ids=["awgn", "rayleigh", "deep-decoder", "deep-decoder-rayleigh",
-            "five-blocks"])
-    def test_matches_batch_major_reference(self, decoder_sizes, batch, faded):
+    @pytest.mark.parametrize("hidden, batch, faded", [
+        (16, 256, False),
+        (16, 256, True),
+        (12, 64, True),  # a decoder narrower than M
+        (16, 5, False),  # most codewords get no gradient
+    ], ids=["awgn", "rayleigh", "width-12", "five-blocks"])
+    def test_matches_batch_major_reference(self, hidden, batch, faded):
         # the step sums per message and runs the decoder on (width, batch)
         # arrays, so it agrees with the row-per-block form up to the order
         # of its sums
-        layout = nn.NetworkLayout(16, 7, (16, 16, 7), decoder_sizes)
+        layout = nn.NetworkLayout(16, 7, hidden)
         params = nn.init_params(layout, 40 + batch)
         messages, noise = small_batch(params, size=batch, sigma=0.5,
                                       key=batch)
@@ -249,13 +263,13 @@ class TestLossAndGradients:
 
     def test_matches_finite_differences(self):
         for case in range(2):
-            params = nn.init_params(nn.default_layout(), 20 + case)
+            params = nn.init_params(nn.NetworkLayout(), 20 + case)
             messages, noise = small_batch(params, size=4, sigma=0.5, key=case)
             err = nn.gradient_check_case(params, messages, noise)
             assert err < 1e-4
 
     def test_matches_finite_differences_with_fade(self):
-        params = nn.init_params(nn.default_layout(), 30)
+        params = nn.init_params(nn.NetworkLayout(), 30)
         messages, noise = small_batch(params, size=4, sigma=0.3, key=9)
         fade = substream(9, "fade").rayleigh(np.sqrt(0.5), size=4)
         assert nn.gradient_check_case(params, messages, noise, fade) < 1e-4
@@ -264,7 +278,7 @@ class TestLossAndGradients:
         assert nn.gradient_check(seed=1, cases=4) < 1e-4
 
     def test_duplicated_batch_same_loss_and_grads(self):
-        params = nn.init_params(nn.default_layout(), 5)
+        params = nn.init_params(nn.NetworkLayout(), 5)
         messages, noise = small_batch(params, size=6, sigma=0.4, key=3)
         doubled_m = np.concatenate([messages, messages])
         doubled_n = np.concatenate([noise, noise])
@@ -326,16 +340,16 @@ class TestLossAndGradients:
 
 class TestAdam:
     def test_zero_gradient_fixed_point(self):
-        params = nn.init_params(nn.default_layout(), 6)
+        params = nn.init_params(nn.NetworkLayout(), 6)
         state = nn.AdamState.for_params(params)
         updated, new_state = nn.adam_step(params, zeros_twin(params), state)
         assert np.array_equal(params.flat, updated.flat)
         assert new_state.step == 1
 
     def test_opposite_gradients_negate_deltas(self):
-        params = nn.init_params(nn.default_layout(), 7)
+        params = nn.init_params(nn.NetworkLayout(), 7)
         state = nn.AdamState.for_params(params)
-        grads = nn.init_params(nn.default_layout(), 8)  # arbitrary values
+        grads = nn.init_params(nn.NetworkLayout(), 8)  # arbitrary values
         up, _ = nn.adam_step(params, grads, state)
         neg = nn.ModelParams(grads.layout, -grads.flat)
         down, _ = nn.adam_step(params, neg, state)
@@ -345,14 +359,14 @@ class TestAdam:
                            rtol=0, atol=1e-12)
 
     def test_first_step_unit_gradient_delta(self):
-        params = nn.init_params(nn.default_layout(), 9)
+        params = nn.init_params(nn.NetworkLayout(), 9)
         state = nn.AdamState.for_params(params, learning_rate=1e-3)
         ones = nn.ModelParams(params.layout, np.ones_like(params.flat))
         updated, _ = nn.adam_step(params, ones, state)
         assert np.all(np.abs((updated.flat - params.flat) + 1e-3) < 1e-9)
 
     def test_step_counter_increments(self):
-        params = nn.init_params(nn.default_layout(), 10)
+        params = nn.init_params(nn.NetworkLayout(), 10)
         state = nn.AdamState.for_params(params)
         g = zeros_twin(params)
         for want in (1, 2, 3):
@@ -360,18 +374,20 @@ class TestAdam:
             assert state.step == want
 
     def test_shape_mismatch_rejected(self):
-        params = nn.init_params(nn.default_layout(), 11)
-        other = nn.init_params(nn.default_layout(decoder_hidden=8), 11)
+        params = nn.init_params(nn.NetworkLayout(), 11)
+        other = nn.init_params(nn.NetworkLayout(decoder_hidden=8), 11)
         state = nn.AdamState.for_params(params)
         with pytest.raises(ConfigurationError):
             nn.adam_step(params, other, state)
 
     def test_invalid_hyperparameters_rejected(self):
-        params = nn.init_params(nn.default_layout(), 12)
+        params = nn.init_params(nn.NetworkLayout(), 12)
         with pytest.raises(ConfigurationError):
             nn.AdamState.for_params(params, learning_rate=0.0)
-        with pytest.raises(ConfigurationError):
-            nn.AdamState.for_params(params, beta1=-0.1)
+        for bad in (dict(beta1=-0.1), dict(beta1=0.0), dict(beta1=1.0),
+                    dict(beta2=1.0), dict(beta2=1.5), dict(epsilon=0.0)):
+            with pytest.raises(ConfigurationError, match=next(iter(bad))):
+                nn.AdamState.for_params(params, **bad)
 
 
 class TestCheckpoint:
@@ -423,7 +439,7 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("edits, kept, fault", [
         # both layer counts 0, header only
-        ({24: 0, 28: 0}, 32, "encoder has no layers"),
+        ({24: 0, 28: 0}, 32, "corrupt checkpoint"),
         ({32 + 12: 15}, None, "not a chain"),  # encoder layer 1 fan_in
         ({32 + 8: 0}, None, "not a chain"),  # encoder hidden layer linear
         ({16: 3}, None, "k=3 does not match M=16"),
@@ -438,6 +454,27 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob[:kept]))
         with pytest.raises(ConfigurationError,
                            match=rf"model\.ckpt: .*{fault}"):
+            nn.load_checkpoint(path)
+
+    @pytest.mark.parametrize("encoder, decoder", [
+        ((16, 16, 7), (7, 16, 16, 16)),
+        ((16, 16, 16, 7), (7, 16, 16)),
+    ], ids=["three-decoder-layers", "three-encoder-layers"])
+    def test_other_depth_rejected(self, tmp_path, encoder, decoder):
+        # a well-formed chain of another depth, written out by hand
+        rows = []
+        for sizes in (encoder, decoder):
+            for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
+                rows += [fan_in, fan_out, int(i < len(sizes) - 2)]
+        body = sum(a * b + b for sizes in (encoder, decoder)
+                   for a, b in zip(sizes, sizes[1:]))
+        words = [1, 16, 4, 7, len(encoder) - 1, len(decoder) - 1] + rows
+        path = tmp_path / "deep.ckpt"
+        path.write_bytes(nn.CHECKPOINT_MAGIC
+                         + np.asarray(words, "<u4").tobytes()
+                         + np.zeros(body, "<f8").tobytes())
+        with pytest.raises(ConfigurationError,
+                           match=r"deep\.ckpt: .*not a chain of two layers"):
             nn.load_checkpoint(path)
 
     def test_stack_rejected_on_save(self, quick_model, tmp_path):
@@ -489,7 +526,7 @@ def assert_packed(params):
 
 class TestFlatBuffer:
     def test_layer_arrays_are_views_into_flat(self, quick_model, tmp_path):
-        params = nn.init_params(nn.default_layout(decoder_hidden=12), 4)
+        params = nn.init_params(nn.NetworkLayout(decoder_hidden=12), 4)
         messages, noise = small_batch(params)
         _, grads = nn.loss_and_gradients_given(params, messages, noise)
         state = nn.AdamState.for_params(params)
@@ -527,7 +564,7 @@ class TestFlatBuffer:
         assert path.read_bytes()[header:] == body
 
     def test_gradient_buffers_not_aliased(self):
-        params = nn.init_params(nn.default_layout(), 13)
+        params = nn.init_params(nn.NetworkLayout(), 13)
         m1, n1 = small_batch(params, key=1)
         m2, n2 = small_batch(params, key=2)
         _, first = nn.loss_and_gradients_given(params, m1, n1)
@@ -539,7 +576,7 @@ class TestFlatBuffer:
         assert not np.array_equal(first.flat, second.flat)
 
     def test_adam_matches_per_array_reference(self):
-        params = nn.init_params(nn.default_layout(), 14)
+        params = nn.init_params(nn.NetworkLayout(), 14)
         state = nn.AdamState.for_params(params)
         ref_p = [a.copy() for a in layer_arrays(params)]
         ref_m = [np.zeros_like(a) for a in ref_p]
@@ -586,7 +623,7 @@ class TestModelStack:
         return models, batches
 
     def test_layer_table_is_consecutive(self):
-        layout = nn.default_layout(decoder_hidden=12)
+        layout = nn.NetworkLayout(decoder_hidden=12)
         offset = 0
         for start, fan_in, fan_out, _ in layout.layers:
             assert start == offset
@@ -595,7 +632,7 @@ class TestModelStack:
         assert layout.layers is layout.layers  # built once per layout
 
     def test_stack_layers_are_row_views(self):
-        models = [nn.init_params(nn.default_layout(), seed) for seed in (1, 2)]
+        models = [nn.init_params(nn.NetworkLayout(), seed) for seed in (1, 2)]
         stacked = stack(models)
         for k, params in enumerate(models):
             for got, want in zip(layer_arrays(stacked), layer_arrays(params)):
@@ -603,7 +640,7 @@ class TestModelStack:
                 assert np.array_equal(got[k], want)
 
     def test_stack_of_wrong_width_rejected(self):
-        params = nn.init_params(nn.default_layout(), 0)
+        params = nn.init_params(nn.NetworkLayout(), 0)
         with pytest.raises(ConfigurationError):
             nn.ModelParams(params.layout, np.zeros((2, params.flat.size + 1)))
         with pytest.raises(ConfigurationError):
@@ -614,7 +651,7 @@ class TestModelStack:
     def test_stacked_call_equals_per_model_calls_bit_for_bit(self, hidden,
                                                              faded):
         models, batches = self.stacked_inputs(
-            nn.default_layout(decoder_hidden=hidden), faded)
+            nn.NetworkLayout(decoder_hidden=hidden), faded)
         messages, noise, fade = (None if parts[0] is None else np.stack(parts)
                                  for parts in zip(*batches))
         losses, grads = nn.loss_and_gradients_given(stack(models), messages,
@@ -629,7 +666,7 @@ class TestModelStack:
                 stack(models), messages, noise, fade)[k] == loss
 
     def test_stacked_adam_equals_per_model_steps(self):
-        models, batches = self.stacked_inputs(nn.default_layout(), False)
+        models, batches = self.stacked_inputs(nn.NetworkLayout(), False)
         stacked = stack(models)
         _, grads = nn.loss_and_gradients_given(
             stacked, *(np.stack(p) for p in list(zip(*batches))[:2]))
@@ -647,7 +684,7 @@ class TestModelStack:
                                                  grads.flat[0]), state)
 
     def test_failures_name_the_model(self):
-        models, batches = self.stacked_inputs(nn.default_layout(), False)
+        models, batches = self.stacked_inputs(nn.NetworkLayout(), False)
         messages, noise = (np.stack(p) for p in list(zip(*batches))[:2])
         noise[2, 0, 0] = np.nan
         with pytest.raises(DivergenceError) as info:
@@ -662,7 +699,7 @@ class TestModelStack:
         assert info.value.model == 1
 
     def test_batch_must_match_the_stack(self):
-        models, batches = self.stacked_inputs(nn.default_layout(), False)
+        models, batches = self.stacked_inputs(nn.NetworkLayout(), False)
         messages, noise = (np.stack(p) for p in list(zip(*batches))[:2])
         with pytest.raises(ValueError, match="per model"):
             nn.loss_and_gradients_given(stack(models), messages[:2],
@@ -673,7 +710,7 @@ class TestModelStack:
             nn.loss_and_gradients_given(stack(models), bad, noise)
 
     def test_reused_workspace_gives_fresh_results(self):
-        models, batches = self.stacked_inputs(nn.default_layout(), True)
+        models, batches = self.stacked_inputs(nn.NetworkLayout(), True)
         stacked = stack(models)
         work = nn.Workspace()
         for shift in (0, 1, 0):
