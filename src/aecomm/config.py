@@ -6,16 +6,19 @@ Config files are sectioned ``key = value`` text:
     [section]
     key = value
 
-Sections are ``channel``, ``training``, ``sweep``, and ``seeds``.  Unknown
-sections or keys are hard errors with line numbers; an empty file yields
-the full defaults (committed as ``configs/reference.cfg``).  Lists are
-comma-separated; the code rate is written as k/n in lowest terms (``4/7``),
-which fixes block_bits = k and channel_uses = n.
+``ExperimentConfig`` is the file's schema: each field names its section and
+file key, and its annotation fixes how the value is parsed, type-checked and
+written back (a NumPy number as a plain one).  Unknown sections or keys are
+hard errors with line numbers; an empty file yields the full defaults
+(committed as ``configs/reference.cfg``).  A ``tuple[T, ...]`` is a
+comma-separated list; the code rate is written as k/n in lowest terms
+(``4/7``), which fixes block_bits = k and channel_uses = n.
 """
 
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -26,36 +29,32 @@ from .errors import ConfigFileError, ConfigurationError
 # error instead of an array too large to allocate or a run without end
 MAX_TEST_POINTS = 10_000
 
-# what each field's annotation admits: NumPy numbers pass, bools do not
-_KINDS = {int: (numbers.Integral, "an integer"),
-          float: (numbers.Real, "a real number"),
-          Fraction: (Fraction, "a Fraction")}
+
+def _key(section, default, key=None):
+    """A field written as ``key`` (its own name by default) in [section]."""
+    return field(default=default, metadata={"section": section, "key": key})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    # [channel]
-    channel_kind: str = "awgn"
-    rate: Fraction = Fraction(4, 7)
-    rho: float = 0.0
-    # [training]
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    batch_size: int = 256
-    steps: int = 10000
-    loss_log_interval: int = 100
-    decoder_hidden: int = 16
-    # [sweep]
-    train_ebn0_db: tuple = (-4.0, 0.0, 5.0, 7.0, 8.0)
-    test_ebn0_start: float = -4.0
-    test_ebn0_stop: float = 8.0
-    test_ebn0_step: float = 0.5
-    target_block_errors: int = 200
-    max_blocks: int = 1_000_000
-    # [seeds]
-    seeds: tuple = (0, 1, 2)
+    channel_kind: str = _key("channel", "awgn", "kind")
+    rate: Fraction = _key("channel", Fraction(4, 7))
+    rho: float = _key("channel", 0.0)
+    learning_rate: float = _key("training", 1e-3)
+    beta1: float = _key("training", 0.9)
+    beta2: float = _key("training", 0.999)
+    epsilon: float = _key("training", 1e-8)
+    batch_size: int = _key("training", 256)
+    steps: int = _key("training", 10000)
+    loss_log_interval: int = _key("training", 100)
+    decoder_hidden: int = _key("training", 16)
+    train_ebn0_db: tuple[float, ...] = _key("sweep", (-4.0, 0.0, 5.0, 7.0, 8.0))
+    test_ebn0_start: float = _key("sweep", -4.0)
+    test_ebn0_stop: float = _key("sweep", 8.0)
+    test_ebn0_step: float = _key("sweep", 0.5)
+    target_block_errors: int = _key("sweep", 200)
+    max_blocks: int = _key("sweep", 1_000_000)
+    seeds: tuple[int, ...] = _key("seeds", (0, 1, 2))
 
     def __post_init__(self):
         self.validate()
@@ -70,13 +69,16 @@ class ExperimentConfig:
 
         # types first: a config built in code skips the file parsers, and a
         # float size or seed would fail deep in a run or truncate silently
-        for f in (f for f in fields(self) if f.type in _KINDS):
-            (kind, text), value = _KINDS[f.type], getattr(self, f.name)
-            require(typed(value, kind), f.name, f"must be {text}, got {value!r}")
-        require(all(typed(s, numbers.Integral) for s in self.seeds), "seeds",
-                "entries must be integers")
-        require(all(typed(v, numbers.Real) for v in self.train_ebn0_db),
-                "train_ebn0_db", "entries must be real numbers")
+        for f in fields(self):
+            (_, kind, text, plural, _), many = _type(f)
+            value = getattr(self, f.name)
+            if many:
+                require(isinstance(value, tuple), f.name,
+                        f"must be a tuple, got {value!r}")
+                require(all(typed(v, kind) for v in value), f.name,
+                        f"entries must be {plural}")
+            elif kind is not None:
+                require(typed(value, kind), f.name, f"must be {text}, got {value!r}")
         require(self.channel_kind in CHANNEL_KINDS, "kind",
                 f"must be one of {CHANNEL_KINDS}")
         require(0 < self.rate <= 1, "rate", f"must be in (0, 1], got {self.rate}")
@@ -162,44 +164,32 @@ def _parse_rate(text):
     return rate
 
 
-def _parse_float_list(text):
-    items = [t.strip() for t in text.split(",") if t.strip()]
-    return tuple(_parse_float(t) for t in items)
-
-
-def _parse_int_list(text):
-    items = [t.strip() for t in text.split(",") if t.strip()]
-    return tuple(_parse_int(t) for t in items)
-
-
-_SCHEMA = {
-    "channel": {
-        "kind": ("channel_kind", str),
-        "rate": ("rate", _parse_rate),
-        "rho": ("rho", _parse_float),
-    },
-    "training": {
-        "learning_rate": ("learning_rate", _parse_float),
-        "beta1": ("beta1", _parse_float),
-        "beta2": ("beta2", _parse_float),
-        "epsilon": ("epsilon", _parse_float),
-        "batch_size": ("batch_size", _parse_int),
-        "steps": ("steps", _parse_int),
-        "loss_log_interval": ("loss_log_interval", _parse_int),
-        "decoder_hidden": ("decoder_hidden", _parse_int),
-    },
-    "sweep": {
-        "train_ebn0_db": ("train_ebn0_db", _parse_float_list),
-        "test_ebn0_start": ("test_ebn0_start", _parse_float),
-        "test_ebn0_stop": ("test_ebn0_stop", _parse_float),
-        "test_ebn0_step": ("test_ebn0_step", _parse_float),
-        "target_block_errors": ("target_block_errors", _parse_int),
-        "max_blocks": ("max_blocks", _parse_int),
-    },
-    "seeds": {
-        "seeds": ("seeds", _parse_int_list),
-    },
+# per declared type: the file parser; what a config built in code may hold
+# (NumPy numbers pass, bools do not; None: unchecked), named for one value
+# and for entries; and the snapshot text, which follows the declared type,
+# not the value's class, so that a NumPy number is written as a plain one
+_TYPES = {
+    int: (_parse_int, numbers.Integral, "an integer", "integers",
+          lambda v: str(int(v))),
+    float: (_parse_float, numbers.Real, "a real number", "real numbers",
+            lambda v: repr(float(v))),
+    Fraction: (_parse_rate, Fraction, "a Fraction", "Fractions",
+               lambda v: f"{v.numerator}/{v.denominator}"),
+    str: (str, None, "", "", str),
 }
+
+
+def _type(f):
+    """A field's entry type from ``_TYPES``, and whether the field is a
+    ``tuple[entry, ...]``: a comma-separated list in the file."""
+    many = get_origin(f.type) is tuple
+    return _TYPES[get_args(f.type)[0] if many else f.type], many
+
+
+# section -> file key -> field, in declaration order
+_SCHEMA = {}
+for _f in fields(ExperimentConfig):
+    _SCHEMA.setdefault(_f.metadata["section"], {})[_f.metadata["key"] or _f.name] = _f
 
 
 def loads_config(text: str) -> ExperimentConfig:
@@ -231,16 +221,18 @@ def loads_config(text: str) -> ExperimentConfig:
         if key not in _SCHEMA[section]:
             raise ConfigFileError(
                 f"unknown key {key!r} in section [{section}]", line=lineno)
-        attr, parse = _SCHEMA[section][key]
+        f = _SCHEMA[section][key]
+        (parse, *_), many = _type(f)
         try:
-            parsed = parse(value_text)
+            parsed = (tuple(parse(t.strip()) for t in value_text.split(",")
+                            if t.strip()) if many else parse(value_text))
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigFileError(
                 f"bad value for {key!r}: {value_text!r} ({exc})", line=lineno
             ) from exc
-        if attr in values:
+        if f.name in values:
             raise ConfigFileError(f"duplicate key {key!r}", line=lineno)
-        values[attr] = parsed
+        values[f.name] = parsed
         key_lines[key] = lineno
 
     try:
@@ -263,20 +255,14 @@ def load_config(path) -> ExperimentConfig:
 
 def serialize_config(config: ExperimentConfig) -> str:
     """Canonical text form; round-trips through loads_config exactly."""
-    def fmt(value):
-        if isinstance(value, Fraction):
-            return f"{value.numerator}/{value.denominator}"
-        if isinstance(value, tuple):
-            return ", ".join(fmt(v) for v in value)
-        if isinstance(value, float):
-            return repr(value)
-        return str(value)
-
     lines = []
     for section, keys in _SCHEMA.items():
         lines.append(f"[{section}]")
-        for key, (attr, _) in keys.items():
-            lines.append(f"{key} = {fmt(getattr(config, attr))}")
+        for key, f in keys.items():
+            (*_, text), many = _type(f)
+            value = getattr(config, f.name)
+            lines.append(f"{key} = " + (", ".join(map(text, value)) if many
+                                        else text(value)))
         lines.append("")
     return "\n".join(lines)
 

@@ -38,15 +38,15 @@ def _db_key(db: float) -> str:
     return format(float(db), "g")
 
 
-def wilson_interval(errors: int, blocks: int, z: float = _Z95):
+def wilson_interval(errors: int, blocks: int):
     """Wilson score interval for a binomial proportion."""
     if blocks < 1:
         raise ValueError("wilson interval needs at least one trial")
     p = errors / blocks
-    z2 = z * z
+    z2 = _Z95 * _Z95
     denom = 1.0 + z2 / blocks
     center = (p + z2 / (2.0 * blocks)) / denom
-    half = z * np.sqrt(p * (1.0 - p) / blocks + z2 / (4.0 * blocks**2)) / denom
+    half = _Z95 * np.sqrt(p * (1.0 - p) / blocks + z2 / (4.0 * blocks**2)) / denom
     # at p = 0 and p = 1 the exact bound is the endpoint; rounding can land
     # one ulp inside, so snap those cases
     low = 0.0 if errors == 0 else max(0.0, float(center - half))
@@ -103,9 +103,6 @@ class BlerCurve:
         if sorted(set(dbs)) != dbs:
             raise ValueError("curve points must be sorted by test_ebn0_db, "
                              "without duplicates")
-
-    def blers(self) -> np.ndarray:
-        return np.array([p.bler for p in self.points])
 
 
 @dataclass(frozen=True)

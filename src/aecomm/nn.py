@@ -156,12 +156,12 @@ class Workspace:
     def __init__(self):
         self._arrays = {}
 
-    def array(self, name, shape, dtype=np.float64):
-        """The array kept under ``name`` (one dtype per name), made anew
-        when the shape differs; its contents are left from its last use."""
+    def array(self, name, shape):
+        """The float array kept under ``name``, made anew when the shape
+        differs; its contents are left from its last use."""
         a = self._arrays.get(name)
         if a is None or a.shape != shape:
-            a = self._arrays[name] = np.empty(shape, dtype)
+            a = self._arrays[name] = np.empty(shape)
         return a
 
 

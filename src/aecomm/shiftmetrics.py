@@ -13,16 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import channels
-
-
-def normal_cdf(x):
-    """Standard normal CDF via the complementary error function."""
-    from scipy.special import erfc  # imported on first use: keeps start-up light
-
-    x = np.asarray(x, dtype=float)
-    out = 0.5 * erfc(-x / np.sqrt(2.0))
-    return out if out.ndim else float(out)
+from . import channels, codecs
 
 
 def chi_square_cdf(x, dof: int):
@@ -58,8 +49,8 @@ def overlap_same_mean_1d(sigma2_a: float, sigma2_b: float) -> float:
         return 1.0
     lo, hi = sorted((sigma2_a, sigma2_b))
     x_star = np.sqrt(np.log(hi / lo) / (1.0 / lo - 1.0 / hi))
-    inner = 2.0 * normal_cdf(x_star / np.sqrt(hi)) - 1.0
-    outer = 2.0 * (1.0 - normal_cdf(x_star / np.sqrt(lo)))
+    inner = 2.0 * codecs.q_function(-(x_star / np.sqrt(hi))) - 1.0
+    outer = 2.0 * (1.0 - codecs.q_function(-(x_star / np.sqrt(lo))))
     return float(inner + outer)
 
 

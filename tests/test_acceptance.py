@@ -36,11 +36,16 @@ def full_sweep():
     return result, time.monotonic() - t0
 
 
+def blers(curve):
+    """The curve's BLER column, one entry per test point."""
+    return np.array([p.bler for p in curve.points])
+
+
 def crossing_db(curve, level):
     """Test Eb/N0 where the curve crosses the level, by log-linear
     interpolation between grid neighbors."""
     db = np.array([p.test_ebn0_db for p in curve.points])
-    logs = np.log10(np.maximum(curve.blers(), 1e-12))
+    logs = np.log10(np.maximum(blers(curve), 1e-12))
     t = np.log10(level)
     for i in range(len(db) - 1):
         lo, hi = logs[i], logs[i + 1]
@@ -114,8 +119,8 @@ def test_3_bler_curve_shape_and_mld_gap(full_sweep, capsys):
 def test_4_noisy_training_generalizes_better(full_sweep, capsys):
     result, _ = full_sweep
     by_label = {c.label: c for c in result.curves}
-    noisy = by_label["ae-train-4dB"].blers()
-    clean = by_label["ae-train+8dB"].blers()
+    noisy = blers(by_label["ae-train-4dB"])
+    clean = blers(by_label["ae-train+8dB"])
     wins = int(np.sum(noisy <= clean))
     needed = int(np.ceil(0.8 * len(noisy)))
     ok = wins >= needed

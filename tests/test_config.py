@@ -1,9 +1,12 @@
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
+from typing import get_args, get_origin
 
 import numpy as np
 import pytest
 
+from aecomm.channels import CHANNEL_KINDS
 from aecomm.config import (
     MAX_TEST_POINTS,
     ExperimentConfig,
@@ -15,6 +18,21 @@ from aecomm.config import (
 from aecomm.errors import ConfigFileError, ConfigurationError
 
 REFERENCE = Path(__file__).resolve().parent.parent / "configs" / "reference.cfg"
+
+# a valid value other than the given one, by declared type (a tuple field's
+# entries each change); str is the channel kind, the only str field
+CHANGED = {
+    int: lambda v: v + 1,
+    float: lambda v: v / 2 + 0.125,
+    Fraction: lambda v: Fraction(v.numerator - 1, v.denominator),
+    str: lambda v: next(kind for kind in CHANNEL_KINDS if kind != v),
+}
+
+
+def changed(f, value):
+    if get_origin(f.type) is tuple:
+        return tuple(CHANGED[get_args(f.type)[0]](v) for v in value)
+    return CHANGED[f.type](value)
 
 
 class TestDefaults:
@@ -54,6 +72,32 @@ class TestRoundTrip:
             test_ebn0_step=0.25,
         )
         assert loads_config(serialize_config(config)) == config
+
+    def test_every_field_round_trips(self):
+        # every field differs from its default, so a field that the file
+        # format leaves out comes back at its default and fails the test
+        default = ExperimentConfig()
+        config = ExperimentConfig(**{
+            f.name: changed(f, getattr(default, f.name))
+            for f in fields(ExperimentConfig)})
+        for f in fields(ExperimentConfig):
+            assert getattr(config, f.name) != getattr(default, f.name), f.name
+        assert loads_config(serialize_config(config)) == config
+
+    def test_numpy_numbers_round_trip(self):
+        # written by their declared type: the repr of a NumPy float under
+        # NumPy 2 is np.float64(0.5), which would not load back
+        config = ExperimentConfig(rho=np.float64(0.5),
+                                  train_ebn0_db=(np.float64(7.0),),
+                                  seeds=(np.int64(3), 4))
+        text = serialize_config(config)
+        assert "rho = 0.5\n" in text and "seeds = 3, 4\n" in text
+        assert loads_config(text) == config
+
+    def test_reference_file_is_the_default_snapshot(self):
+        # pins the order of sections and keys as well as each value's text
+        assert REFERENCE.read_bytes() == serialize_config(
+            ExperimentConfig()).encode()
 
     def test_save_and_load(self, tmp_path):
         config = ExperimentConfig(steps=77)
@@ -179,8 +223,12 @@ class TestValidation:
         ("learning_rate", True, r"must be a real number, got True"),
         ("rho", "0", r"must be a real number, got '0'"),
         ("train_ebn0_db", (7.0, "8"), r"entries must be real numbers"),
+        # a list would leave the config unhashable and its snapshot unloadable
+        ("seeds", [0, 1], r"must be a tuple, got \[0, 1\]"),
+        ("train_ebn0_db", [7.0], r"must be a tuple, got \[7\.0\]"),
     ], ids=["width-2.5", "batch-8.0", "blocks-1e3", "steps-bool", "rate-0.5",
-            "seed-0.5", "seed-bool", "lr-bool", "rho-str", "train-db-str"])
+            "seed-0.5", "seed-bool", "lr-bool", "rho-str", "train-db-str",
+            "seeds-list", "train-db-list"])
     def test_wrong_type_rejected(self, key, value, pattern):
         with pytest.raises(ConfigurationError,
                            match=rf"^{key}: {pattern}$") as err:
