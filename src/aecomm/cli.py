@@ -2,9 +2,10 @@
 robustness subcommands over a sectioned key=value config file.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure.
-Every artifact-producing run writes all outputs under --out plus a
+Every artifact-producing run writes its outputs under --out only after its
+work has succeeded: each output in order, then config.cfg, then a
 manifest.json recording the config snapshot, seeds, timestamps, and a
-sha256 digest per emitted file.
+sha256 digest per emitted file.  A run that fails in its work writes nothing.
 """
 
 import argparse
@@ -59,52 +60,6 @@ def _atomic_write(path, data: bytes):
         raise
 
 
-class _Run:
-    """Artifact collector for one subcommand; writes the manifest at the end."""
-
-    def __init__(self, args, config):
-        self.command = args.command
-        self.out_dir = args.out
-        self.quiet = args.quiet
-        self.config = config
-        self.outputs = {}
-        self.started = _utc_now()
-
-    def say(self, text):
-        if not self.quiet:
-            print(text)
-
-    def path(self, name):
-        return os.path.join(self.out_dir, name)
-
-    def write_text(self, name, text):
-        self.write_bytes(name, text.encode("utf-8"))
-
-    def write_bytes(self, name, data: bytes):
-        os.makedirs(self.out_dir, exist_ok=True)
-        _atomic_write(self.path(name), data)
-        self.outputs[name] = _digest(data)
-        self.say(f"wrote {self.path(name)}")
-
-    def finish(self) -> int:
-        self.write_text("config.cfg", serialize_config(self.config))
-        manifest = {
-            "tool": "aecomm",
-            "version": _VERSION,
-            "command": self.command,
-            "seeds": list(self.config.seeds),
-            "started_utc": self.started,
-            "finished_utc": _utc_now(),
-            "config": serialize_config(self.config),
-            "outputs": self.outputs,
-        }
-        os.makedirs(self.out_dir, exist_ok=True)
-        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        _atomic_write(self.path("manifest.json"), text.encode("utf-8"))
-        self.say(f"wrote {self.path('manifest.json')}")
-        return 0
-
-
 def _parse_db_list(text):
     try:
         values = tuple(float(tok) for tok in text.split(",") if tok.strip())
@@ -134,46 +89,43 @@ def _worker_count(text):
 
 
 # -- subcommands --------------------------------------------------------------
+# Each returns {file name: text or bytes} in write order; gradcheck returns
+# its exit code and writes nothing.
 
-def _cmd_overlap(run, args, config):
+def _cmd_overlap(args, config, say):
     train_db = _train_db(args, zero_noise=False)
     tests = _parse_db_list(args.test_db)
     rows = harness.overlap_table(train_db, tests, config.rate)
     for row in rows:
-        run.say(f"test {row.test_ebn0_db:+g} dB: overlap "
-                f"{row.overlap_pct:.2f}%  KL {row.kl_nats:.4f} nats")
-    run.write_text("overlap.csv", harness.overlap_to_csv(rows))
-    return run.finish()
+        say(f"test {row.test_ebn0_db:+g} dB: overlap "
+            f"{row.overlap_pct:.2f}%  KL {row.kl_nats:.4f} nats")
+    return {"overlap.csv": harness.overlap_to_csv(rows)}
 
 
-def _cmd_sweep(run, args, config):
-    result = harness.run_sweep(config, workers=args.workers, progress=run.say)
-    run.write_text("sweep.csv", harness.sweep_to_csv(result.curves))
-    run.write_text("plot_bler.py", harness.PLOT_SCRIPT)
-    return run.finish()
+def _cmd_sweep(args, config, say):
+    result = harness.run_sweep(config, workers=args.workers, progress=say)
+    return {"sweep.csv": harness.sweep_to_csv(result.curves),
+            "plot_bler.py": harness.PLOT_SCRIPT}
 
 
-def _cmd_train(run, args, config):
+def _cmd_train(args, config, say):
     train_db = _train_db(args)
     seed = config.seeds[0]
-    run.say(f"training at {train_db:g} dB, seed {seed}")
+    say(f"training at {train_db:g} dB, seed {seed}")
     params, history = harness.train_autoencoder(config, train_db, seed)
-    run.say(f"final loss {history.losses[-1]:.6g}")
+    say(f"final loss {history.losses[-1]:.6g}")
     stem = f"model_train{train_db:+g}dB_seed{seed}"
-    run.write_bytes(stem + ".ckpt", nn.checkpoint_bytes(params))
-    run.write_text(stem + "_history.csv", harness.history_to_csv(history))
-    return run.finish()
+    return {stem + ".ckpt": nn.checkpoint_bytes(params),
+            stem + "_history.csv": harness.history_to_csv(history)}
 
 
-def _cmd_baseline(run, args, config):
+def _cmd_baseline(args, config, say):
     curves = harness.baseline_curves(config, workers=args.workers,
-                                     progress=run.say)
-    run.write_text("baseline.csv",
-                   harness.baseline_to_csv(curves, config.channel_kind))
-    return run.finish()
+                                     progress=say)
+    return {"baseline.csv": harness.baseline_to_csv(curves, config.channel_kind)}
 
 
-def _cmd_gradcheck(run, args, config):
+def _cmd_gradcheck(args, config, say):
     worst = nn.gradient_check(seed=config.seeds[0], cases=10)
     print(f"max relative error: {worst:.3e}")
     if not worst < GRADCHECK_THRESHOLD:
@@ -183,18 +135,44 @@ def _cmd_gradcheck(run, args, config):
     return 0
 
 
-def _cmd_robustness(run, args, config):
+def _cmd_robustness(args, config, say):
     train_db = _train_db(args)
     seed = config.seeds[0]
-    run.say(f"training reference model on {config.channel_kind} at "
-            f"{train_db:g} dB, seed {seed}")
+    say(f"training reference model on {config.channel_kind} at "
+        f"{train_db:g} dB, seed {seed}")
     params, _ = harness.train_autoencoder(config, train_db, seed)
-    run.say("estimating BLER under channel variants")
+    say("estimating BLER under channel variants")
     curves = harness.robustness_probe(params, config, train_db, seed,
                                       workers=args.workers)
-    run.write_text("robustness.csv", harness.sweep_to_csv(curves))
-    run.write_text("plot_bler.py", harness.PLOT_SCRIPT)
-    return run.finish()
+    return {"robustness.csv": harness.sweep_to_csv(curves),
+            "plot_bler.py": harness.PLOT_SCRIPT}
+
+
+def _write_run(args, config, outputs, started_utc, say):
+    """Write each output, then config.cfg, then manifest.json: the snapshot,
+    seeds, timestamps and a sha256 digest per file."""
+    def put(name, data):
+        data = data.encode("utf-8") if isinstance(data, str) else data
+        path = os.path.join(args.out, name)
+        _atomic_write(path, data)
+        say(f"wrote {path}")
+        return _digest(data)
+
+    os.makedirs(args.out, exist_ok=True)
+    snapshot = serialize_config(config)
+    digests = {name: put(name, data)
+               for name, data in {**outputs, "config.cfg": snapshot}.items()}
+    manifest = {
+        "tool": "aecomm",
+        "version": _VERSION,
+        "command": args.command,
+        "seeds": list(config.seeds),
+        "started_utc": started_utc,
+        "finished_utc": _utc_now(),
+        "config": snapshot,
+        "outputs": digests,
+    }
+    put("manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 # -- wiring -------------------------------------------------------------------
@@ -210,7 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="COMMAND",
                                 required=True)
 
-    def common(p, workers=False):
+    def command(name, handler, text, workers=False, train_db=False):
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", metavar="PATH", default=None,
                        help="config file path, or 'default' for built-in "
                             "defaults (also the default when omitted)")
@@ -225,49 +204,27 @@ def build_parser() -> argparse.ArgumentParser:
                            help="threads running independent BLER "
                                 "estimates; results are identical for any "
                                 "count")
+        if train_db:
+            p.add_argument("--train-db", type=float, default=7.0,
+                           help="training Eb/N0 in dB (default 7)")
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("overlap",
-                       help="overlap/KL table between train and test "
-                            "received-signal distributions")
-    common(p)
-    p.add_argument("--train-db", type=float, default=7.0,
-                   help="training Eb/N0 in dB (default 7)")
+    p = command("overlap", _cmd_overlap, "overlap/KL table between train "
+                "and test received-signal distributions", train_db=True)
     p.add_argument("--test-db", default="-4,0,5,8", metavar="LIST",
                    help="comma-separated test Eb/N0 dB values")
-    p.set_defaults(handler=_cmd_overlap)
-
-    p = sub.add_parser("sweep",
-                       help="train autoencoders on the train grid and sweep "
-                            "BLER over the test grid, with baselines")
-    common(p, workers=True)
-    p.set_defaults(handler=_cmd_sweep)
-
-    p = sub.add_parser("train", help="train one autoencoder and save a "
-                                     "checkpoint plus loss history")
-    common(p)
-    p.add_argument("--train-db", type=float, default=7.0,
-                   help="training Eb/N0 in dB (default 7)")
-    p.set_defaults(handler=_cmd_train)
-
-    p = sub.add_parser("baseline",
-                       help="classical baseline BLER curves with closed-form "
-                            "reference column")
-    common(p, workers=True)
-    p.set_defaults(handler=_cmd_baseline)
-
-    p = sub.add_parser("gradcheck",
-                       help="compare backprop gradients against central "
-                            "finite differences")
-    common(p)
-    p.set_defaults(handler=_cmd_gradcheck)
-
-    p = sub.add_parser("robustness",
-                       help="evaluate a model trained on the configured "
-                            "channel under correlated and Rayleigh channels")
-    common(p, workers=True)
-    p.add_argument("--train-db", type=float, default=7.0,
-                   help="training Eb/N0 in dB (default 7)")
-    p.set_defaults(handler=_cmd_robustness)
+    command("sweep", _cmd_sweep, "train autoencoders on the train grid and "
+            "sweep BLER over the test grid, with baselines", workers=True)
+    command("train", _cmd_train, "train one autoencoder and save a "
+            "checkpoint plus loss history", train_db=True)
+    command("baseline", _cmd_baseline, "classical baseline BLER curves with "
+            "closed-form reference column", workers=True)
+    command("gradcheck", _cmd_gradcheck, "compare backprop gradients against "
+            "central finite differences")
+    command("robustness", _cmd_robustness, "evaluate a model trained on the "
+            "configured channel under correlated and Rayleigh channels",
+            workers=True, train_db=True)
     return parser
 
 
@@ -294,9 +251,14 @@ def run_command(argv) -> int:
     except (ConfigurationError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    run = _Run(args, config)
+    started_utc = _utc_now()
+    say = (lambda text: None) if args.quiet else print
     try:
-        return args.handler(run, args, config)
+        outputs = args.handler(args, config, say)
+        if isinstance(outputs, int):  # gradcheck's exit code
+            return outputs
+        _write_run(args, config, outputs, started_utc, say)
+        return 0
     except ConfigurationError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -64,8 +64,11 @@ class ExperimentConfig:
             if not cond:
                 raise ConfigurationError(f"{key}: {text}", key=key)
 
-        def typed(value, kind):  # True is an Integral, but no size or seed
-            return isinstance(value, kind) and not isinstance(value, bool)
+        # True is an Integral, but no size or seed; a Fraction is a Real, but
+        # a float field's snapshot would round it to another value
+        def typed(value, kind):
+            return isinstance(value, kind) and (
+                kind is Fraction or not isinstance(value, (bool, Fraction)))
 
         # types first: a config built in code skips the file parsers, and a
         # float size or seed would fail deep in a run or truncate silently

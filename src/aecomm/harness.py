@@ -16,6 +16,7 @@ so every result is invariant to the worker count.  The CSVs write a float
 as its repr, an int as str, and a missing value as an empty field.
 """
 
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field, replace
 
@@ -62,10 +63,15 @@ class StopRule:
     max_blocks: int = 1_000_000
 
     def __post_init__(self):
-        if self.target_block_errors < 1:
-            raise ConfigurationError("target_block_errors must be >= 1")
-        if self.max_blocks < 1:
-            raise ConfigurationError("max_blocks must be >= 1")
+        # a float or bool count would fail deep in the estimator or run
+        # silently at the wrong size, so the type is checked like a config's
+        for name in ("target_block_errors", "max_blocks"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigurationError(
+                    f"{name}: must be an integer, got {value!r}", key=name)
+            if value < 1:
+                raise ConfigurationError(f"{name} must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -9,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aecomm import ExperimentConfig, harness, nn
-from aecomm.cli import run_command
+from aecomm import ExperimentConfig, cli, harness, nn
+from aecomm.cli import build_parser, run_command
 from aecomm.config import load_config, save_config
 
 
@@ -156,11 +157,50 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"error: {flag}: ")
         assert not out.exists()
 
+    def test_failed_work_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # the checkpoint is ready before the history fails; neither is
+        # written, since no manifest would describe it
+        def failing_history(history):
+            raise RuntimeError("history failed")
+
+        monkeypatch.setattr(harness, "history_to_csv", failing_history)
+        out = tmp_path / "run"
+        code = run_command(["train", "--config", quick_cfg(tmp_path, steps=20),
+                            "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: history failed\n"
+        assert "wrote" not in captured.out
+        assert not out.exists()
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_command(["--version"])
         assert exc.value.code == 0
         assert "aecomm" in capsys.readouterr().out
+
+
+class TestParser:
+    COMMON = {"--config", "--seed", "--out", "--quiet"}
+
+    @pytest.mark.parametrize("command, extra", [
+        ("overlap", {"--train-db", "--test-db"}),
+        ("sweep", {"--workers"}),
+        ("train", {"--train-db"}),
+        ("baseline", {"--workers"}),
+        ("gradcheck", set()),
+        ("robustness", {"--workers", "--train-db"}),
+    ])
+    def test_flag_sets(self, command, extra):
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        assert list(subparsers.choices) == [
+            "overlap", "sweep", "train", "baseline", "gradcheck",
+            "robustness"]
+        p = subparsers.choices[command]
+        flags = {o for a in p._actions for o in a.option_strings}
+        assert flags - {"-h", "--help"} == self.COMMON | extra
+        assert p.get_default("handler") is getattr(cli, f"_cmd_{command}")
 
 
 class TestOverlap:

@@ -226,9 +226,13 @@ class TestValidation:
         # a list would leave the config unhashable and its snapshot unloadable
         ("seeds", [0, 1], r"must be a tuple, got \[0, 1\]"),
         ("train_ebn0_db", [7.0], r"must be a tuple, got \[7\.0\]"),
+        # a Fraction is a Real, but its snapshot would load back rounded
+        ("rho", Fraction(1, 3), r"must be a real number, got Fraction\(1, 3\)"),
+        ("train_ebn0_db", (Fraction(1, 3),), r"entries must be real numbers"),
     ], ids=["width-2.5", "batch-8.0", "blocks-1e3", "steps-bool", "rate-0.5",
             "seed-0.5", "seed-bool", "lr-bool", "rho-str", "train-db-str",
-            "seeds-list", "train-db-list"])
+            "seeds-list", "train-db-list", "rho-fraction",
+            "train-db-fraction"])
     def test_wrong_type_rejected(self, key, value, pattern):
         with pytest.raises(ConfigurationError,
                            match=rf"^{key}: {pattern}$") as err:

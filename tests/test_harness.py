@@ -100,6 +100,24 @@ class TestBlerTypes:
         with pytest.raises(ConfigurationError):
             harness.StopRule(10, 0)
 
+    # a StopRule built in code once failed deep in the estimator or ran at
+    # a target of 1
+    @pytest.mark.parametrize("target, max_blocks, key, shown", [
+        (200, 1e3, "max_blocks", "1000.0"),
+        (2.5, 1000, "target_block_errors", "2.5"),
+        (True, 1000, "target_block_errors", "True"),
+        (200, False, "max_blocks", "False"),
+    ], ids=["blocks-1e3", "target-2.5", "target-bool", "blocks-bool"])
+    def test_stop_rule_rejects_non_integers(self, target, max_blocks, key,
+                                            shown):
+        with pytest.raises(ConfigurationError,
+                           match=rf"^{key}: must be an integer, got {shown}$"):
+            harness.StopRule(target, max_blocks)
+
+    def test_stop_rule_accepts_numpy_integers(self):
+        stop = harness.StopRule(np.int64(5), np.int32(100))
+        assert (stop.target_block_errors, stop.max_blocks) == (5, 100)
+
 
 class TestEstimateBler:
     def test_always_wrong_stops_at_target(self):
