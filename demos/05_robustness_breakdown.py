@@ -25,7 +25,8 @@ def main():
     print(f"training on AWGN at {TRAIN_DB:+g} dB...")
     params, _ = harness.train_autoencoder(config, TRAIN_DB, config.seeds[0])
     print("evaluating under channel variants...")
-    curves = harness.robustness_probe(params, config, TRAIN_DB, workers=2)
+    curves = harness.robustness_probe(params, config, TRAIN_DB,
+                                      config.seeds[0], workers=2)
 
     print()
     print("BLER by test Eb/N0:")

@@ -9,6 +9,7 @@ so the received vector is y ~ N(x, sigma^2 I) on the plain AWGN channel.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -70,16 +71,21 @@ class ChannelSpec:
         return noise_variance(self.ebn0_db, self.rate)
 
 
+@lru_cache(maxsize=256)
 def correlation_factor(rho: float, n: int, sigma2: float) -> np.ndarray:
-    """Lower-triangular factor L with L L^T = sigma^2 * T(rho), T = [rho^|i-j|]."""
+    """Lower-triangular factor L with L L^T = sigma^2 * T(rho), T = [rho^|i-j|],
+    and zero at sigma^2 = 0; computed once per arguments, read-only."""
     lags = np.arange(n)
     toeplitz = rho ** np.abs(lags[:, None] - lags[None, :])
     try:
-        return np.linalg.cholesky(sigma2 * toeplitz)
+        factor = (np.zeros((n, n)) if sigma2 == 0.0
+                  else np.linalg.cholesky(sigma2 * toeplitz))
     except np.linalg.LinAlgError as exc:
         raise ConfigurationError(
             f"correlation matrix not factorizable (rho={rho})"
         ) from exc
+    factor.flags.writeable = False
+    return factor
 
 
 def draw_disturbance(spec: ChannelSpec, shape, rng: np.random.Generator):

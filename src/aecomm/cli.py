@@ -27,13 +27,16 @@ GRADCHECK_THRESHOLD = 1e-4
 
 
 class _UsageError(Exception):
-    pass
+    def __init__(self, message, parser):
+        super().__init__(message)
+        self.parser = parser
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on usage errors; the contract here is 1
+    # argparse exits with status 2 on usage errors; the contract here is 1,
+    # and the usage shown is that of the parser that failed
     def error(self, message):
-        raise _UsageError(message)
+        raise _UsageError(message, self)
 
 
 def _utc_now() -> str:
@@ -207,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
         if train_db:
             p.add_argument("--train-db", type=float, default=7.0,
                            help="training Eb/N0 in dB (default 7)")
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, parser=p)
         return p
 
     p = command("overlap", _cmd_overlap, "overlap/KL table between train "
@@ -241,10 +244,12 @@ def _resolve_config(args) -> ExperimentConfig:
 def run_command(argv) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:  # reported by the command's parser, with its usage
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
+        err.parser.print_usage(sys.stderr)
         return 1
     try:
         config = _resolve_config(args)

@@ -6,10 +6,11 @@ Determinism contract: every random draw comes from a substream named by
 (seed, purpose, operating point[, chunk index]).  One BLER estimate walks
 fixed-size chunks in index order, each on its own substream, and stops at
 the exact block where the target error count is reached.  Within a chunk the
-messages are drawn whole.  Each system is one link: ``transmit_tiles`` sends
-their codewords in tiles of ``channels.TILE_ROWS`` rows, bit-identical to one
-whole-chunk draw, and a decoder maps each tile back to message indices; the
-estimate asks for no tile after the one that reaches the target.
+messages are drawn whole.  Each system is a ``Link`` value: a channel spec,
+a codebook and a decoder.  The estimate sends the codewords through
+``transmit_tiles`` in tiles of ``channels.TILE_ROWS`` rows, bit-identical to
+one whole-chunk draw, decodes each tile, and draws no tile after the one
+that reaches the target.
 Parallelism is one level: the curve routines run whole estimates, one per
 (point, seed), on ``workers`` threads.  Each estimate owns its substreams,
 so every result is invariant to the worker count.  The CSVs write a float
@@ -111,16 +112,17 @@ class BlerCurve:
                              "without duplicates")
 
 
-@dataclass(frozen=True)
-class ChannelSystem:
-    """A message-in/message-out link: draw disturbances from the chunk rng,
-    yield the decoded message indices tile by tile, in message order."""
+@dataclass(frozen=True, eq=False)
+class Link:
+    """A message-in/message-out link: ``codebook[messages]`` sent through
+    ``spec``, and ``decode`` of each received tile as message indices."""
 
-    message_count: int
-    run: object  # callable (messages, rng) -> iterator of decoded tiles
+    spec: channels.ChannelSpec
+    codebook: np.ndarray
+    decode: object  # callable (received tile) -> message indices
 
 
-def estimate_bler(system: ChannelSystem, test_ebn0_db: float, stop: StopRule,
+def estimate_bler(link: Link, test_ebn0_db: float, stop: StopRule,
                   seed_key, workers: int = 1) -> BlerPoint:
     """Monte Carlo BLER with a deterministic chunked substream scheme.
 
@@ -129,18 +131,18 @@ def estimate_bler(system: ChannelSystem, test_ebn0_db: float, stop: StopRule,
     (the last one fewer, at ``max_blocks``), run in index order, and the
     count stops at the exact block where the target error count is reached.
     Errors are counted per decoded tile, and no tile after the one that
-    reaches the target is asked for.  ``workers`` has no effect: the curve
+    reaches the target is drawn.  ``workers`` has no effect: the curve
     routines run whole estimates in parallel instead.
     """
     target = stop.target_block_errors
     blocks = errors = index = 0
     while errors < target and blocks < stop.max_blocks:
         rng = substream(*seed_key, index)
-        msgs = rng.integers(0, system.message_count,
+        msgs = rng.integers(0, len(link.codebook),
                             min(DEFAULT_CHUNK_BLOCKS, stop.max_blocks - blocks))
-        for decoded in system.run(msgs, rng):
-            sent, msgs = msgs[:len(decoded)], msgs[len(decoded):]
-            wrong = np.flatnonzero(decoded != sent)
+        for y in channels.transmit_tiles(link.spec, link.codebook, msgs, rng):
+            sent, msgs = msgs[:len(y)], msgs[len(y):]
+            wrong = np.flatnonzero(link.decode(y) != sent)
             if errors + wrong.size >= target:
                 blocks += int(wrong[target - errors - 1]) + 1
                 errors = target
@@ -151,40 +153,29 @@ def estimate_bler(system: ChannelSystem, test_ebn0_db: float, stop: StopRule,
     return make_bler_point(test_ebn0_db, errors, blocks)
 
 
-# -- systems ------------------------------------------------------------------
-
-def _link(spec: channels.ChannelSpec, codebook, decode) -> ChannelSystem:
-    """Send ``codebook[messages]`` through ``spec`` tile by tile and yield
-    ``decode`` of each received tile.  The decoders below look their
-    functions up on the module at call time, so a wrapper installed on the
-    module attribute sees every tile."""
-
-    def run(messages, rng):
-        for y in channels.transmit_tiles(spec, codebook, messages, rng):
-            yield decode(y)
-
-    return ChannelSystem(len(codebook), run)
-
+# -- links --------------------------------------------------------------------
+# Each decoder looks its function up on the module at call time, so a
+# wrapper installed on the module attribute sees every tile.
 
 def autoencoder_system(params: nn.ModelParams,
-                       spec: channels.ChannelSpec) -> ChannelSystem:
-    return _link(spec, nn.codebook(params), lambda y: nn.predict(params, y))
+                       spec: channels.ChannelSpec) -> Link:
+    return Link(spec, nn.codebook(params), lambda y: nn.predict(params, y))
 
 
-def hamming_hard_system(spec: channels.ChannelSpec) -> ChannelSystem:
-    return _link(spec, codecs.CODEBOOK_BPSK, lambda y: codecs.bits_to_message(
+def hamming_hard_system(spec: channels.ChannelSpec) -> Link:
+    return Link(spec, codecs.CODEBOOK_BPSK, lambda y: codecs.bits_to_message(
         codecs.hamming_hard_decode(y)))
 
 
-def hamming_mld_system(spec: channels.ChannelSpec) -> ChannelSystem:
-    return _link(spec, codecs.CODEBOOK_BPSK,
-                 lambda y: codecs.hamming_mld_message(y))
+def hamming_mld_system(spec: channels.ChannelSpec) -> Link:
+    return Link(spec, codecs.CODEBOOK_BPSK,
+                lambda y: codecs.hamming_mld_message(y))
 
 
-def uncoded_system(spec: channels.ChannelSpec) -> ChannelSystem:
+def uncoded_system(spec: channels.ChannelSpec) -> Link:
     """4 info bits sent as 4 BPSK uses at per-info-bit energy Eb (rate 1)."""
     symbols = codecs.bpsk_map(codecs.message_to_bits(np.arange(2**codecs.K)))
-    return _link(spec, symbols, lambda y: codecs.bits_to_message(
+    return Link(spec, symbols, lambda y: codecs.bits_to_message(
         codecs.bpsk_demap(y)))
 
 
@@ -275,12 +266,12 @@ def _require_hamming_rate(config):
             f"got {config.rate}")
 
 
-def _curve(system, label, train_ebn0_db, system_for, seeds, key, config,
+def _curve(system, label, train_ebn0_db, link_for, seeds, key, config,
            workers) -> BlerCurve:
     """One BLER curve over the config's test grid.
 
     Each point pools the counts of one estimate per seed; the estimate for
-    ``seed`` at ``db`` runs ``system_for(seed, db)`` on the chunk substreams
+    ``seed`` at ``db`` runs ``link_for(seed, db)`` on the chunk substreams
     ``(seed, "bler", key, db)``.  Curves that share ``key`` and a seed see
     the same messages and draws.  Each estimate owns its substreams, so
     ``workers`` threads running them give the same curve as one.  The tasks
@@ -293,7 +284,7 @@ def _curve(system, label, train_ebn0_db, system_for, seeds, key, config,
 
     def estimate(task):
         db, seed = task
-        return estimate_bler(system_for(seed, db), db, stop,
+        return estimate_bler(link_for(seed, db), db, stop,
                              seed_key=(seed, "bler", key, _db_key(db)))
 
     if workers == 1:
@@ -423,9 +414,8 @@ def width_sweep(config: ExperimentConfig, widths,
 # -- channel-mismatch probe ---------------------------------------------------
 
 def robustness_probe(params: nn.ModelParams, config: ExperimentConfig,
-                     train_ebn0_db: float, seed: int | None = None,
-                     rhos=(0.5, 0.9), include_rayleigh: bool = True,
-                     workers: int = 1) -> list:
+                     train_ebn0_db: float, seed: int, rhos=(0.5, 0.9),
+                     include_rayleigh: bool = True, workers: int = 1) -> list:
     """Evaluate a model trained on the configured channel under
     correlated-noise and Rayleigh variants, side by side with its AWGN curve.
 
@@ -433,8 +423,6 @@ def robustness_probe(params: nn.ModelParams, config: ExperimentConfig,
     additive noise is drawn before the fade, so the comparisons are paired:
     rho = 0 reproduces the AWGN curve exactly.
     """
-    if seed is None:
-        seed = config.seeds[0]
     rate = float(config.rate)
     variants = [("ae-awgn", "awgn", 0.0)]
     variants += [(f"ae-corr-rho{rho:g}", "correlated_awgn", rho) for rho in rhos]

@@ -20,6 +20,9 @@ from .errors import ConfigurationError, DegenerateCodewordError, DivergenceError
 from .rng import substream
 
 _NORM_FLOOR = 1e-12
+# central-difference step and batch size of the gradient check
+_FD_STEP = 1e-5
+_GRADCHECK_BATCH = 8
 
 
 @dataclass(frozen=True)
@@ -353,8 +356,8 @@ def _loss_core(params, messages, noise, fade, want_grads, work):
     return losses, grads
 
 
-def finite_difference_gradients(params, messages, noise, fade=None,
-                                step=1e-5) -> ModelParams:
+def finite_difference_gradients(params, messages, noise,
+                                fade=None) -> ModelParams:
     """Central-difference gradients of the fixed-realization loss.
 
     Slow by construction: one loss pair per parameter entry.  This is the
@@ -364,17 +367,16 @@ def finite_difference_gradients(params, messages, noise, fade=None,
     grads = ModelParams(params.layout, np.zeros_like(params.flat))
     for i in range(work.flat.size):
         saved = work.flat[i]
-        work.flat[i] = saved + step
+        work.flat[i] = saved + _FD_STEP
         up = loss_given_disturbance(work, messages, noise, fade)
-        work.flat[i] = saved - step
+        work.flat[i] = saved - _FD_STEP
         down = loss_given_disturbance(work, messages, noise, fade)
         work.flat[i] = saved
-        grads.flat[i] = (up - down) / (2.0 * step)
+        grads.flat[i] = (up - down) / (2.0 * _FD_STEP)
     return grads
 
 
-def gradient_check_case(params, messages, noise, fade=None,
-                        step=1e-5) -> float:
+def gradient_check_case(params, messages, noise, fade=None) -> float:
     """Worst relative error of backprop against central differences.
 
     Entries are compared at scale max(|analytic|, |numeric|, 1e-3 * gmax)
@@ -383,7 +385,7 @@ def gradient_check_case(params, messages, noise, fade=None,
     any entry of consequential size is still checked individually.
     """
     _, analytic = loss_and_gradients_given(params, messages, noise, fade)
-    numeric = finite_difference_gradients(params, messages, noise, fade, step)
+    numeric = finite_difference_gradients(params, messages, noise, fade)
     a, b = analytic.flat, numeric.flat
     gmax = max(np.abs(a).max(), np.abs(b).max())
     scale = np.maximum(np.maximum(np.abs(a), np.abs(b)),
@@ -391,8 +393,7 @@ def gradient_check_case(params, messages, noise, fade=None,
     return float((np.abs(a - b) / scale).max())
 
 
-def gradient_check(seed: int = 0, cases: int = 10, batch_size: int = 8,
-                   step: float = 1e-5) -> float:
+def gradient_check(seed: int = 0, cases: int = 10) -> float:
     """Max relative error over random configurations.
 
     Cases cycle through noise scales from zero upward, alternate plain
@@ -404,14 +405,13 @@ def gradient_check(seed: int = 0, cases: int = 10, batch_size: int = 8,
     for case in range(cases):
         layout = NetworkLayout(decoder_hidden=16 if case % 2 == 0 else 12)
         params = init_params(layout, 1000 * seed + case)
-        messages = rng.integers(0, params.message_count, batch_size)
+        messages = rng.integers(0, params.message_count, _GRADCHECK_BATCH)
         noise = sigmas[case % len(sigmas)] * rng.standard_normal(
-            (batch_size, params.channel_uses))
+            (_GRADCHECK_BATCH, params.channel_uses))
         fade = None
         if case % 2 == 1:
-            fade = rng.rayleigh(scale=np.sqrt(0.5), size=batch_size)
-        worst = max(worst,
-                    gradient_check_case(params, messages, noise, fade, step))
+            fade = rng.rayleigh(scale=np.sqrt(0.5), size=_GRADCHECK_BATCH)
+        worst = max(worst, gradient_check_case(params, messages, noise, fade))
     return worst
 
 

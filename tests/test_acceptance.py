@@ -134,7 +134,8 @@ def test_5_rayleigh_breakdown(full_sweep, capsys):
     config = ExperimentConfig()
     params = result.models[(7.0, config.seeds[0])]
     awgn, rayleigh = harness.robustness_probe(
-        params, config, 7.0, rhos=(), include_rayleigh=True, workers=4)
+        params, config, 7.0, config.seeds[0], rhos=(), include_rayleigh=True,
+        workers=4)
     worse = [(a.test_ebn0_db, r.bler > a.bler)
              for a, r in zip(awgn.points, rayleigh.points)
              if a.test_ebn0_db >= 0.0]

@@ -85,6 +85,15 @@ class TestCorrelationFactor:
         factor = correlation_factor(0.5, 6, 1.0)
         assert np.allclose(factor, np.tril(factor))
 
+    def test_zero_noise_is_the_zero_factor(self):
+        # sigma^2 T is all zeros there, which has no Cholesky factor
+        assert np.array_equal(correlation_factor(0.5, 7, 0.0), np.zeros((7, 7)))
+
+    def test_computed_once_and_read_only(self):
+        factor = correlation_factor(0.9, 7, 0.3)
+        assert correlation_factor(0.9, 7, 0.3) is factor
+        assert not factor.flags.writeable
+
 
 class TestDrawDisturbance:
     def test_awgn_statistics(self):
@@ -148,11 +157,21 @@ class TestTransmit:
         assert np.array_equal(x, x_before)
         assert not np.shares_memory(y, x)
 
-    def test_zero_noise_sentinel_passes_through(self):
-        spec = ChannelSpec("awgn", np.inf, 4 / 7)
+    @pytest.mark.parametrize("kind, rho", [
+        ("awgn", 0.0), ("correlated_awgn", 0.5), ("rayleigh", 0.0)],
+        ids=["awgn", "correlated_awgn", "rayleigh"])
+    def test_zero_noise_sentinel_passes_through(self, kind, rho):
+        spec = ChannelSpec(kind, np.inf, 4 / 7, rho=rho)
         x = substream(7, "cw").standard_normal((16, 7))
-        y = transmit(spec, x, substream(8, "n"))
-        assert np.array_equal(y, x)
+        _, fade = draw_disturbance(spec, x.shape, substream(8, "n"))
+        rng, awgn_rng = substream(8, "n"), substream(8, "n")
+        y = transmit(spec, x, rng)
+        assert np.array_equal(y, x if fade is None else fade[:, None] * x)
+        # the normals are drawn all the same, so the stream moves on as on
+        # awgn; the fades follow them
+        transmit(ChannelSpec("awgn", np.inf, 4 / 7), x, awgn_rng)
+        if fade is None:
+            assert rng.random() == awgn_rng.random()
 
     def test_rayleigh_scales_blocks(self):
         spec = ChannelSpec("rayleigh", np.inf, 4 / 7)

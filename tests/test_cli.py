@@ -45,13 +45,28 @@ def file_digest(path):
 class TestExitCodes:
     def test_no_subcommand_is_usage_error(self, capsys):
         assert run_command([]) == 1
-        assert "error" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("error: ")
+        assert err[1].startswith("usage: aecomm [-h] [--version] COMMAND")
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert run_command(["overlap", "--bogus"]) == 1
 
     def test_bad_seed_value_is_usage_error(self, capsys):
         assert run_command(["overlap", "--seed", "x"]) == 1
+
+    # the usage printed is the failing command's, which names its flags
+    @pytest.mark.parametrize("argv, fault", [
+        (["robustness", "--workers", "0"],
+         "argument --workers: expected an integer >= 1, got '0'"),
+        (["overlap", "--workers", "2"],
+         "unrecognized arguments: --workers 2"),
+    ], ids=["invalid-value", "unrecognized"])
+    def test_usage_error_prints_the_command_usage(self, capsys, argv, fault):
+        assert run_command(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == f"error: {fault}"
+        assert err[1].startswith(f"usage: aecomm {argv[0]} [-h]")
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = run_command(["overlap", "--config", str(tmp_path / "no.cfg"),
@@ -399,6 +414,16 @@ class TestRobustness:
                             "--out", str(tmp_path / "run")]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert "training reference model on rayleigh at 7 dB, seed 0" in lines
+
+    def test_zero_noise_sentinel_on_correlated_noise(self, tmp_path):
+        # sigma^2 T(rho) is all zeros at +inf dB and has no Cholesky factor;
+        # the channel then adds no noise, as on awgn
+        out = tmp_path / "run"
+        cfg = quick_cfg(tmp_path, steps=20, channel_kind="correlated_awgn",
+                        rho=0.5, max_blocks=2_000)
+        assert run_command(["robustness", "--config", cfg, "--train-db",
+                            "inf", "--quiet", "--out", str(out)]) == 0
+        assert (out / "robustness.csv").exists()
 
 
 class TestEntryPoints:

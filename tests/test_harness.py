@@ -4,20 +4,32 @@ from scipy.special import ndtri
 from scipy.stats import binomtest
 
 from aecomm import ExperimentConfig, channels, codecs, harness, nn
-from aecomm.channels import TILE_ROWS, ChannelSpec, transmit
+from aecomm.channels import TILE_ROWS, ChannelSpec, transmit, transmit_tiles
 from aecomm.errors import (ConfigurationError, DegenerateCodewordError,
                            DivergenceError)
 from aecomm.rng import substream
 
 
+# message m is sent as (1000 m, 0) under unit-variance noise, so rounding
+# the first use recovers m and the second use is a fresh N(0, 1) draw
+WIDE_CODEBOOK = np.stack([1000.0 * np.arange(16), np.zeros(16)], axis=1)
+UNIT_NOISE = ChannelSpec("awgn", 0.0, 0.5)
+
+
+def sent_message(y):
+    return np.rint(y[:, 0] / 1000).astype(np.int64)
+
+
 def synthetic_system(p):
-    """Errs independently with probability p, deterministic per chunk rng."""
+    """Errs independently with probability p, deterministic per chunk rng:
+    a block is wrong where its N(0, 1) draw falls below the p-quantile."""
+    threshold = ndtri(np.clip(p, 0.0, 1.0))
 
-    def run(messages, rng):
-        wrong = rng.random(messages.size) < p
-        yield np.where(wrong, (messages + 1) % 16, messages)
+    def decode(y):
+        m = sent_message(y)
+        return np.where(y[:, 1] < threshold, (m + 1) % 16, m)
 
-    return harness.ChannelSystem(16, run)
+    return harness.Link(UNIT_NOISE, WIDE_CODEBOOK, decode)
 
 
 def blers(curve):
@@ -137,14 +149,14 @@ class TestEstimateBler:
         assert point.bler == 0.0
 
     def test_stops_at_exact_block_of_target_error(self):
-        def run(messages, rng):
-            # error at even positions within the chunk
-            flip = (np.arange(messages.size) + 1) % 2
-            yield (messages + flip) % 16
+        def decode(y):
+            # error at even positions within the tile, and so the chunk
+            flip = (np.arange(len(y)) + 1) % 2
+            return (sent_message(y) + flip) % 16
 
-        system = harness.ChannelSystem(16, run)
+        link = harness.Link(UNIT_NOISE, WIDE_CODEBOOK, decode)
         point = harness.estimate_bler(
-            system, 0.0, harness.StopRule(10, 10**6), ("c",)
+            link, 0.0, harness.StopRule(10, 10**6), ("c",)
         )
         # 10th error sits at 0-based position 18
         assert point.blocks == 19
@@ -187,21 +199,22 @@ class TestEstimateBler:
         assert point.ci_low <= want <= point.ci_high
 
 
-def distance_mld_system(spec):
+def distance_mld(y):
     """Hamming MLD written as the explicit distance argmin, lowest index on
     ties; the reference for the correlation decoder."""
-
-    def run(messages, rng):
-        y = transmit(spec, codecs.CODEBOOK_BPSK[messages], rng)
-        dist = ((y[..., None, :] - codecs.CODEBOOK_BPSK) ** 2).sum(axis=-1)
-        yield dist.argmin(axis=-1)
-
-    return harness.ChannelSystem(16, run)
+    dist = ((y[..., None, :] - codecs.CODEBOOK_BPSK) ** 2).sum(axis=-1)
+    return dist.argmin(axis=-1)
 
 
-def run_whole(system, messages, rng):
-    """The decoded tiles of one system.run, joined."""
-    return np.concatenate(list(system.run(messages, rng)))
+def decoded_tiles(link, messages, rng):
+    """The link's decode of each tile that transmit_tiles sends."""
+    return [link.decode(y) for y in
+            transmit_tiles(link.spec, link.codebook, messages, rng)]
+
+
+def run_whole(link, messages, rng):
+    """The decoded tiles of one link, joined."""
+    return np.concatenate(decoded_tiles(link, messages, rng))
 
 
 def whole_chunk_estimate(codebook, decode, spec, db, stop, seed_key):
@@ -251,8 +264,8 @@ class TestSystems:
     def test_systems_yield_tiles_in_order(self):
         spec = ChannelSpec("awgn", np.inf, 4 / 7)
         msgs = np.arange(2500) % 16
-        tiles = list(harness.hamming_mld_system(spec).run(msgs,
-                                                          substream(3, "s")))
+        tiles = decoded_tiles(harness.hamming_mld_system(spec), msgs,
+                              substream(3, "s"))
         assert [len(t) for t in tiles] == [TILE_ROWS, TILE_ROWS, 452]
         assert np.array_equal(np.concatenate(tiles), msgs)
 
@@ -314,8 +327,9 @@ class TestSystems:
         stop = harness.StopRule(200, 100_000)
         got = harness.estimate_bler(harness.hamming_mld_system(spec), db, stop,
                                     ("mld-ref", int(db)))
-        want = harness.estimate_bler(distance_mld_system(spec), db, stop,
-                                     ("mld-ref", int(db)))
+        want = harness.estimate_bler(
+            harness.Link(spec, codecs.CODEBOOK_BPSK, distance_mld), db, stop,
+            ("mld-ref", int(db)))
         assert got == want
 
 
