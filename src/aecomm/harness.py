@@ -9,8 +9,8 @@ the exact block where the target error count is reached.  Within a chunk the
 messages are drawn whole.  Each system is a ``Link`` value: a channel spec,
 a codebook and a decoder.  The estimate sends the codewords through
 ``transmit_tiles`` in tiles of ``channels.TILE_ROWS`` rows, bit-identical to
-one whole-chunk draw, decodes each tile, and draws no tile after the one
-that reaches the target.
+one whole-chunk draw, decodes each tile, and asks for no tile after the
+one that reaches the target.
 Parallelism is one level: the curve routines run whole estimates, one per
 (point, seed), on ``workers`` threads.  Each estimate owns its substreams,
 so every result is invariant to the worker count.  The CSVs write a float
@@ -131,7 +131,7 @@ def estimate_bler(link: Link, test_ebn0_db: float, stop: StopRule,
     (the last one fewer, at ``max_blocks``), run in index order, and the
     count stops at the exact block where the target error count is reached.
     Errors are counted per decoded tile, and no tile after the one that
-    reaches the target is drawn.  ``workers`` has no effect: the curve
+    reaches the target is asked for.  ``workers`` has no effect: the curve
     routines run whole estimates in parallel instead.
     """
     target = stop.target_block_errors
