@@ -23,12 +23,11 @@ def main():
         target_block_errors=200,
         max_blocks=200_000,
     )
-    result = harness.run_sweep(config, workers=2,
-                               progress=lambda s: print("  " + s))
-    curves = {c.label: c for c in result.curves}
+    curves = {c.label: c for c in harness.run_sweep(
+        config, workers=2, progress=lambda s: print("  " + s))}
 
     print()
-    grid = [p.test_ebn0_db for p in result.curves[0].points]
+    grid = [p.test_ebn0_db for p in curves["ae-train-4dB"].points]
     labels = ["ae-train-4dB", "ae-train+8dB", "hamming-mld", "uncoded-bpsk"]
     print("BLER by test Eb/N0:")
     print("  dB   " + "".join(f"{l:>15s}" for l in labels))

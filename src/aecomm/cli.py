@@ -106,8 +106,8 @@ def _cmd_overlap(args, config, say):
 
 
 def _cmd_sweep(args, config, say):
-    result = harness.run_sweep(config, workers=args.workers, progress=say)
-    return {"sweep.csv": harness.sweep_to_csv(result.curves),
+    curves = harness.run_sweep(config, workers=args.workers, progress=say)
+    return {"sweep.csv": harness.sweep_to_csv(curves),
             "plot_bler.py": harness.PLOT_SCRIPT}
 
 
@@ -116,7 +116,8 @@ def _cmd_train(args, config, say):
     seed = config.seeds[0]
     say(f"training at {train_db:g} dB, seed {seed}")
     params, history = harness.train_autoencoder(config, train_db, seed)
-    say(f"final loss {history.losses[-1]:.6g}")
+    if history.losses:  # empty at steps = 0
+        say(f"final loss {history.losses[-1]:.6g}")
     stem = f"model_train{train_db:+g}dB_seed{seed}"
     return {stem + ".ckpt": nn.checkpoint_bytes(params),
             stem + "_history.csv": harness.history_to_csv(history)}

@@ -113,6 +113,10 @@ class ExperimentConfig:
         # the interval without new evidence
         require(len(set(self.seeds)) == len(self.seeds), "seeds",
                 "entries must not repeat")
+        # substream keys are taken modulo 2**64, so seeds outside that range
+        # would alias seeds inside it
+        require(all(0 <= s < 2**64 for s in self.seeds), "seeds",
+                "entries must be in [0, 2**64)")
         return self
 
     # -- derived quantities ---------------------------------------------------

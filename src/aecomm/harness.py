@@ -253,12 +253,6 @@ def train_autoencoder(config: ExperimentConfig, train_ebn0_db: float, seed):
 
 # -- sweep --------------------------------------------------------------------
 
-@dataclass
-class SweepResult:
-    curves: list
-    models: dict  # (train_ebn0_db, seed) -> ModelParams
-
-
 def _require_hamming_rate(config):
     if (config.block_bits, config.channel_uses) != (codecs.K, codecs.N):
         raise ConfigurationError(
@@ -305,43 +299,34 @@ def _curve(system, label, train_ebn0_db, link_for, seeds, key, config,
 def _autoencoder_curve(config: ExperimentConfig, train_db: float, label,
                        workers, say):
     """Train the config's seeds in lockstep at ``train_db`` and return
-    (curve, {seed: ModelParams}).  The curve is labelled ``label`` but draws
-    on the sweep's key for that point, ``ae-train{db:+g}dB``."""
+    their pooled curve.  The curve is labelled ``label`` but draws on the
+    sweep's key for that point, ``ae-train{db:+g}dB``."""
     say(f"training autoencoders at {train_db:g} dB, seeds "
         f"{', '.join(map(str, config.seeds))}")
     trained = train_autoencoder(config, train_db, tuple(config.seeds))
     models = {seed: params for seed, (params, _) in zip(config.seeds, trained)}
     say(f"estimating BLER for {label}")
-    curve = _curve(
+    return _curve(
         "autoencoder", label, float(train_db),
         lambda seed, db: autoencoder_system(models[seed],
                                             config.channel_spec(db)),
         config.seeds, f"ae-train{train_db:+g}dB", config, workers)
-    return curve, models
 
 
 def run_sweep(config: ExperimentConfig, workers: int = 1,
-              progress=None) -> SweepResult:
+              progress=None) -> list:
     """Train one autoencoder per (train Eb/N0, seed), the seeds of one train
-    Eb/N0 in lockstep, evaluate everything on the test grid, and attach the
-    classical baselines.
-
-    Autoencoder curves pool blocks and errors across seeds; baselines run
-    once on the first seed.  ``progress`` is an optional callable taking a
-    status string.
+    Eb/N0 in lockstep, and return the test-grid curves: one per train Eb/N0
+    in ``train_ebn0_db`` order, pooling blocks and errors across seeds, then
+    the ``baseline_curves`` (Hamming hard, Hamming MLD, uncoded BPSK) on the
+    first seed.  ``progress`` is an optional callable taking a status string.
     """
     _require_hamming_rate(config)
     say = progress if progress is not None else lambda text: None
-    curves = []
-    models = {}
-    for train_db in config.train_ebn0_db:
-        curve, trained = _autoencoder_curve(
-            config, train_db, f"ae-train{train_db:+g}dB", workers, say)
-        curves.append(curve)
-        models.update({(train_db, seed): params
-                       for seed, params in trained.items()})
-    curves.extend(baseline_curves(config, workers=workers, progress=progress))
-    return SweepResult(curves, models)
+    curves = [_autoencoder_curve(config, train_db, f"ae-train{train_db:+g}dB",
+                                 workers, say)
+              for train_db in config.train_ebn0_db]
+    return curves + baseline_curves(config, workers=workers, progress=progress)
 
 
 def baseline_curves(config: ExperimentConfig, workers: int = 1,
@@ -401,7 +386,7 @@ def width_sweep(config: ExperimentConfig, widths,
     curves = []
     for width in widths:
         try:
-            curve, _ = _autoencoder_curve(
+            curve = _autoencoder_curve(
                 replace(config, decoder_hidden=width), train_ebn0_db,
                 f"ae-width{width}", 1, lambda text: None)
         except (DivergenceError, DegenerateCodewordError) as exc:

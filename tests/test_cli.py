@@ -98,6 +98,16 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {bad}: line {line}: {fault}\n"
         assert not (tmp_path / "run").exists()
 
+    def test_seed_outside_substream_range_is_config_error(self, tmp_path,
+                                                           capsys):
+        # 2**64 would draw seed 0's numbers under its own checkpoint name
+        out = tmp_path / "run"
+        assert run_command(["train", "--seed", "18446744073709551616",
+                            "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: seeds: entries must be in [0, 2**64)\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_is_usage_error(self, tmp_path, capsys,
                                               workers):
@@ -331,6 +341,27 @@ class TestTrain:
         assert code == 0
         assert (out / "model_train-2dB_seed9.ckpt").exists()
         assert read_manifest(out)["seeds"] == [9]
+
+
+class TestZeroSteps:
+    # steps = 0 is valid: the model is its initial parameters and its loss
+    # history is empty
+    @pytest.mark.parametrize("command, output", [
+        ("train", "model_train+7dB_seed0.ckpt"),
+        ("sweep", "sweep.csv"),
+        ("robustness", "robustness.csv"),
+    ])
+    def test_untrained_model_runs(self, tmp_path, command, output):
+        out = tmp_path / "run"
+        cfg = quick_cfg(tmp_path, steps=0, max_blocks=2_000)
+        assert run_command([command, "--config", cfg, "--out", str(out)]) == 0
+        assert (out / output).exists()
+        if command == "train":
+            params = nn.load_checkpoint(str(out / output))
+            assert np.array_equal(params.flat,
+                                  nn.init_params(params.layout, 0).flat)
+            history = out / "model_train+7dB_seed0_history.csv"
+            assert history.read_text() == "step,loss\n"
 
 
 class TestSweep:

@@ -250,6 +250,11 @@ class TestValidation:
 # validation faults that a file can hold: (text, line, message pattern)
 INVALID_FILES = [
     ("[seeds]\nseeds = 0, 0\n", 2, r"seeds: entries must not repeat"),
+    # substream keys are taken modulo 2**64: each list names one seed twice
+    ("[seeds]\nseeds = 0, 18446744073709551616\n", 2,
+     r"seeds: entries must be in \[0, 2\*\*64\)"),
+    ("# aliases\n[seeds]\nseeds = -1, 18446744073709551615\n", 3,
+     r"seeds: entries must be in \[0, 2\*\*64\)"),
     ("# probe\n[channel]\nkind = awgn\nrho = 1.5\n", 4,
      r"rho: must be in \[0, 1\), got 1\.5"),
     ("[sweep]\ntest_ebn0_start = 0\ntest_ebn0_stop = inf\n", 3,
@@ -263,7 +268,8 @@ INVALID_FILES = [
     ("# fine grid\n[sweep]\ntest_ebn0_step = 1e-6\n", 3,
      r"test_ebn0_step: gives more than 10000 test points"),
 ]
-INVALID_IDS = ["repeated-seeds", "rho-out-of-range", "stop-inf", "start-inf",
+INVALID_IDS = ["repeated-seeds", "seed-2**64", "negative-seed",
+               "rho-out-of-range", "stop-inf", "start-inf",
                "step-inf", "step-1e-300", "step-1e-6"]
 
 

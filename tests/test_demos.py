@@ -1,6 +1,7 @@
-"""The demos are not run by the test suite, so check statically that each one
-compiles and that every aecomm name it imports or reads off an imported
-aecomm object (``harness.run_sweep``, ``nn.codebook``, ...) still exists."""
+"""The demos are not run by the test suite (CI runs each one after it), so
+check statically that each one compiles and that every aecomm name it imports
+or reads off an imported aecomm object (``harness.run_sweep``,
+``nn.codebook``, ...) still exists."""
 
 import ast
 import importlib

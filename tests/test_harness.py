@@ -333,6 +333,19 @@ class TestSystems:
         assert got == want
 
 
+def record_training(monkeypatch):
+    """Record what each ``harness.train_autoencoder`` call returns."""
+    real = harness.train_autoencoder
+    returned = []
+
+    def recording(*args):
+        returned.append(real(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(harness, "train_autoencoder", recording)
+    return returned
+
+
 def degenerate_at_call(monkeypatch, bad_call):
     """Make the bad_call-th gradient evaluation hit a degenerate codeword."""
     real = nn.loss_and_gradients_given
@@ -408,29 +421,26 @@ class TestTraining:
 class TestRunSweep:
     def test_reduced_sweep_layout(self):
         config = reduced_config()
-        result = harness.run_sweep(config)
-        labels = [c.label for c in result.curves]
+        curves = harness.run_sweep(config)
+        labels = [c.label for c in curves]
         assert labels == ["ae-train+7dB", "hamming-hard", "hamming-mld",
                           "uncoded-bpsk"]
-        assert all(len(c.points) == 4 for c in result.curves)
-        assert result.curves[0].train_ebn0_db == 7.0
-        assert result.curves[1].train_ebn0_db is None
-        assert list(result.models) == [(7.0, 0)]
+        assert all(len(c.points) == 4 for c in curves)
+        assert curves[0].train_ebn0_db == 7.0
+        assert curves[1].train_ebn0_db is None
 
     def test_sweep_csv_deterministic(self):
         config = reduced_config()
-        a = harness.sweep_to_csv(harness.run_sweep(config).curves)
-        b = harness.sweep_to_csv(harness.run_sweep(config).curves)
+        a = harness.sweep_to_csv(harness.run_sweep(config))
+        b = harness.sweep_to_csv(harness.run_sweep(config))
         assert a == b
         assert a.splitlines()[0] == harness.SWEEP_CSV_HEADER
         assert len(a.splitlines()) == 1 + 4 * 4
 
     def test_seed_pooling_sums_counts(self):
         config = reduced_config(seeds=(0, 1), steps=150)
-        result = harness.run_sweep(config)
-        ae = result.curves[0]
+        ae = harness.run_sweep(config)[0]
         assert ae.seed_count == 2
-        assert set(result.models) == {(7.0, 0), (7.0, 1)}
         # pooled blocks at least the single-seed stopping floor
         assert all(p.blocks >= 2 * 50 for p in ae.points)
 
@@ -490,8 +500,8 @@ class TestWorkers:
         config = reduced_config(seeds=(0, 1), steps=150)
         serial = harness.run_sweep(config, workers=1)
         threaded = harness.run_sweep(config, workers=2)
-        assert threaded.curves == serial.curves
-        assert serial.curves[0].seed_count == 2
+        assert threaded == serial
+        assert serial[0].seed_count == 2
 
     def test_no_chunk_is_thrown_away(self, monkeypatch):
         config = reduced_config(test_ebn0_start=2.0, test_ebn0_stop=8.0,
@@ -567,17 +577,23 @@ class TestSubstreamKeys:
                               target_block_errors=20, max_blocks=5_000,
                               **overrides)
 
-    def test_sweep_pools_seeds_and_baselines_use_first(self):
+    def test_sweep_pools_seeds_and_baselines_use_first(self, monkeypatch):
         config = self.small_config(steps=60, seeds=(3, 1))
         stop = harness.StopRule(20, 5_000)
-        result = harness.run_sweep(config)
-        ae, *baselines = result.curves
+        alone = {seed: harness.train_autoencoder(config, 7.0, seed)[0]
+                 for seed in (3, 1)}
+        trained = record_training(monkeypatch)
+        ae, *baselines = harness.run_sweep(config)
+        # the sweep trains its seeds in lockstep, bit-identical to alone
+        [pairs] = trained
+        for seed, (params, _) in zip((3, 1), pairs):
+            assert params.flat.tobytes() == alone[seed].flat.tobytes()
         assert ae.seed_count == 2
         for p in ae.points:
             db = p.test_ebn0_db
             assert p == self.pooled(
                 lambda seed: harness.autoencoder_system(
-                    result.models[(7.0, seed)], config.channel_spec(db)),
+                    alone[seed], config.channel_spec(db)),
                 (3, 1), "ae-train+7dB", db, stop)
         makers = {"hamming_hard": (harness.hamming_hard_system, 4 / 7),
                   "hamming_mld": (harness.hamming_mld_system, 4 / 7),
@@ -676,22 +692,16 @@ class TestWidthSweep:
     def test_configured_width_reproduces_the_sweep(self, monkeypatch):
         config = reduced_config(steps=150, seeds=(0, 1))
         sweep = harness.run_sweep(config)
-        real = harness.train_autoencoder
-        trained = []
-
-        def recording(*args):
-            trained.append(real(*args))
-            return trained[-1]
-
-        monkeypatch.setattr(harness, "train_autoencoder", recording)
+        alone = [harness.train_autoencoder(config, 7.0, seed)[0]
+                 for seed in config.seeds]
+        trained = record_training(monkeypatch)
         [curve] = harness.width_sweep(config, [config.decoder_hidden])
         assert (curve.system, curve.label, curve.train_ebn0_db,
                 curve.seed_count) == ("autoencoder", "ae-width16", 7.0, 2)
-        assert curve.points == sweep.curves[0].points
+        assert curve.points == sweep[0].points
         [pairs] = trained
-        for seed, (params, _) in zip(config.seeds, pairs):
-            assert (params.flat.tobytes()
-                    == sweep.models[(7.0, seed)].flat.tobytes())
+        for (params, _), lone in zip(pairs, alone):
+            assert params.flat.tobytes() == lone.flat.tobytes()
 
     def test_widths_share_test_blocks_and_narrow_is_worse(self):
         # a target above max_blocks: every point runs to the cap, so both
@@ -742,7 +752,7 @@ class TestWidthSweep:
 class TestEmitters:
     def test_sweep_csv_schema(self):
         config = reduced_config(steps=60)
-        text = harness.sweep_to_csv(harness.run_sweep(config).curves)
+        text = harness.sweep_to_csv(harness.run_sweep(config))
         lines = text.splitlines()
         assert lines[0] == ("system,label,train_ebn0_db,test_ebn0_db,blocks,"
                             "block_errors,bler,ci_low,ci_high,seed_count")
@@ -870,15 +880,6 @@ class TestLockstep:
         alone, alone_history = harness.train_autoencoder(config, 7.0, 4)
         assert params.flat.tobytes() == alone.flat.tobytes()
         assert history.losses == alone_history.losses
-
-    def test_sweep_models_equal_lone_trainings(self):
-        config = reduced_config(steps=40, seeds=(2, 0), train_ebn0_db=(0.0,),
-                                test_ebn0_start=4.0, test_ebn0_stop=4.0,
-                                max_blocks=2_000)
-        result = harness.run_sweep(config)
-        for seed in (2, 0):
-            alone, _ = harness.train_autoencoder(config, 0.0, seed)
-            assert np.array_equal(result.models[(0.0, seed)].flat, alone.flat)
 
     def test_lockstep_failure_names_point_seed_and_step(self, monkeypatch):
         poison_noise(monkeypatch, models=3, step=3, model=1)
