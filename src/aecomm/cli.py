@@ -238,6 +238,9 @@ def _resolve_config(args) -> ExperimentConfig:
     else:
         config = load_config(args.config)
     if args.seed is not None:
+        if not 0 <= args.seed < 2**64:  # the range config.seeds allows
+            raise ConfigurationError(f"--seed: expected an integer in "
+                                     f"[0, 2**64), got {args.seed}")
         config = replace(config, seeds=(args.seed,))
     return config
 

@@ -191,7 +191,7 @@ class TrainingHistory:
         self.losses.append(float(loss))
 
 
-def train_autoencoder(config: ExperimentConfig, train_ebn0_db: float, seed):
+def train_autoencoder(config: ExperimentConfig, train_ebn0_db, seed):
     """Train one autoencoder at a fixed Eb/N0 with Adam from
     ``init_params(layout, seed)``; deterministic per (config, seed).
     Returns (ModelParams, TrainingHistory) with the loss recorded every
@@ -200,24 +200,32 @@ def train_autoencoder(config: ExperimentConfig, train_ebn0_db: float, seed):
     ``seed`` may also be a tuple of seeds: their models then train in
     lockstep on a leading model axis and one pair per seed comes back, each
     bit-identical to training that seed alone, since each model keeps its
-    own substreams.  A numerical failure names the train Eb/N0, the failing
-    seed (every seed when unknown) and the step.
+    own substreams and draw order.  ``train_ebn0_db`` may then be a tuple
+    as long as ``seed``: model k trains at ``train_ebn0_db[k]`` with
+    ``seed[k]``.  Each step copies every model's messages and draws into
+    its row of arrays kept in one ``nn.Workspace``.  A numerical failure
+    stops every model; it names the failing model's train Eb/N0 and seed
+    (every model's when unknown) and the step.
     """
     seeds = seed if isinstance(seed, tuple) else (seed,)
+    dbs = (train_ebn0_db if isinstance(train_ebn0_db, tuple)
+           else (train_ebn0_db,) * len(seeds))
+    if len(dbs) != len(seeds):
+        raise ConfigurationError(f"{len(dbs)} train Eb/N0 values for "
+                                 f"{len(seeds)} seeds")
     layout = nn.NetworkLayout(config.message_count, config.channel_uses,
                               config.decoder_hidden)
-    spec = config.channel_spec(train_ebn0_db)
-    db = _db_key(train_ebn0_db)
-    streams = [(substream(s, "train", db), substream(s, "channel", "train", db))
-               for s in seeds]
-    batch_shape = (config.batch_size, config.channel_uses)
-    # one model's arrays need only a view with the model axis, not a copy
-    stacked = (lambda parts: parts[0][None]) if len(seeds) == 1 else np.array
+    specs = [config.channel_spec(db) for db in dbs]
+    streams = [(substream(s, "train", _db_key(db)),
+                substream(s, "channel", "train", _db_key(db)))
+               for s, db in zip(seeds, dbs)]
 
     def failure(kind, text, step, k):
-        named = seeds if k is None else seeds[k:k + 1]
-        return kind(f"training at {train_ebn0_db:g} dB, seed "
-                    f"{', '.join(map(str, named))}: {text}", step=step, model=k)
+        named = range(len(seeds)) if k is None else (k,)
+        at = dict.fromkeys(f"{dbs[i]:g}" for i in named)
+        by = dict.fromkeys(str(seeds[i]) for i in named)
+        return kind(f"training at {', '.join(at)} dB, seed {', '.join(by)}: "
+                    f"{text}", step=step, model=k)
 
     params = nn.ModelParams(layout, np.stack(
         [nn.init_params(layout, s).flat for s in seeds]))
@@ -226,13 +234,20 @@ def train_autoencoder(config: ExperimentConfig, train_ebn0_db: float, seed):
         config.epsilon)
     histories = [TrainingHistory() for _ in seeds]
     work = nn.Workspace()
+    batch_shape = (config.batch_size, config.channel_uses)
+    messages = work.array("messages", (len(seeds), config.batch_size),
+                          np.int64)
+    noise = work.array("noise", (len(seeds),) + batch_shape)
+    fade = (work.array("fade", messages.shape)
+            if config.channel_kind == "rayleigh" else None)
     for step in range(1, config.steps + 1):
-        draws = [(msg_rng.integers(0, config.message_count, config.batch_size),
-                  *channels.draw_disturbance(spec, batch_shape, noise_rng))
-                 for msg_rng, noise_rng in streams]
-        messages, noise, fade = zip(*draws)
-        messages, noise = stacked(messages), stacked(noise)
-        fade = None if fade[0] is None else stacked(fade)
+        for k, (spec, (msg_rng, noise_rng)) in enumerate(zip(specs, streams)):
+            messages[k] = msg_rng.integers(0, config.message_count,
+                                           config.batch_size)
+            noise[k], fade_k = channels.draw_disturbance(spec, batch_shape,
+                                                         noise_rng)
+            if fade is not None:
+                fade[k] = fade_k
         try:
             losses, grads = nn.loss_and_gradients_given(params, messages,
                                                         noise, fade, work)
@@ -296,36 +311,43 @@ def _curve(system, label, train_ebn0_db, link_for, seeds, key, config,
     return BlerCurve(system, label, train_ebn0_db, len(seeds), points)
 
 
-def _autoencoder_curve(config: ExperimentConfig, train_db: float, label,
-                       workers, say):
-    """Train the config's seeds in lockstep at ``train_db`` and return
-    their pooled curve.  The curve is labelled ``label`` but draws on the
-    sweep's key for that point, ``ae-train{db:+g}dB``."""
-    say(f"training autoencoders at {train_db:g} dB, seeds "
-        f"{', '.join(map(str, config.seeds))}")
-    trained = train_autoencoder(config, train_db, tuple(config.seeds))
-    models = {seed: params for seed, (params, _) in zip(config.seeds, trained)}
-    say(f"estimating BLER for {label}")
-    return _curve(
-        "autoencoder", label, float(train_db),
-        lambda seed, db: autoencoder_system(models[seed],
-                                            config.channel_spec(db)),
-        config.seeds, f"ae-train{train_db:+g}dB", config, workers)
+def _autoencoder_curves(config: ExperimentConfig, train_dbs, workers,
+                        say) -> list:
+    """Train the config's seeds at every Eb/N0 of ``train_dbs``, all in one
+    lockstep, then estimate one curve per train Eb/N0 in that order, pooled
+    over the seeds, labelled and keyed ``ae-train{db:+g}dB``."""
+    seeds = tuple(config.seeds)
+    say(f"training autoencoders at {', '.join(f'{db:g}' for db in train_dbs)}"
+        f" dB, seeds {', '.join(map(str, seeds))}")
+    trained = train_autoencoder(
+        config, tuple(db for db in train_dbs for _ in seeds),
+        seeds * len(train_dbs))
+    curves = []
+    for i, train_db in enumerate(train_dbs):
+        point = trained[i * len(seeds):(i + 1) * len(seeds)]
+        models = {seed: params for seed, (params, _) in zip(seeds, point)}
+        label = f"ae-train{train_db:+g}dB"
+        say(f"estimating BLER for {label}")
+        curves.append(_curve(
+            "autoencoder", label, float(train_db),
+            lambda seed, db: autoencoder_system(models[seed],
+                                                config.channel_spec(db)),
+            seeds, label, config, workers))
+    return curves
 
 
 def run_sweep(config: ExperimentConfig, workers: int = 1,
               progress=None) -> list:
-    """Train one autoencoder per (train Eb/N0, seed), the seeds of one train
-    Eb/N0 in lockstep, and return the test-grid curves: one per train Eb/N0
-    in ``train_ebn0_db`` order, pooling blocks and errors across seeds, then
+    """Train one autoencoder per (train Eb/N0, seed), all of them in one
+    lockstep, and return the test-grid curves: one per train Eb/N0 in
+    ``train_ebn0_db`` order, pooling blocks and errors across seeds, then
     the ``baseline_curves`` (Hamming hard, Hamming MLD, uncoded BPSK) on the
     first seed.  ``progress`` is an optional callable taking a status string.
     """
     _require_hamming_rate(config)
     say = progress if progress is not None else lambda text: None
-    curves = [_autoencoder_curve(config, train_db, f"ae-train{train_db:+g}dB",
+    curves = _autoencoder_curves(config, tuple(config.train_ebn0_db),
                                  workers, say)
-              for train_db in config.train_ebn0_db]
     return curves + baseline_curves(config, workers=workers, progress=progress)
 
 
@@ -386,13 +408,13 @@ def width_sweep(config: ExperimentConfig, widths,
     curves = []
     for width in widths:
         try:
-            curve = _autoencoder_curve(
-                replace(config, decoder_hidden=width), train_ebn0_db,
-                f"ae-width{width}", 1, lambda text: None)
+            [curve] = _autoencoder_curves(
+                replace(config, decoder_hidden=width), (train_ebn0_db,), 1,
+                lambda text: None)
         except (DivergenceError, DegenerateCodewordError) as exc:
             raise type(exc)(f"width {width}: {exc.reason}", step=exc.step,
                             model=exc.model) from exc
-        curves.append(curve)
+        curves.append(replace(curve, label=f"ae-width{width}"))
     return curves
 
 

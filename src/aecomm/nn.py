@@ -136,35 +136,40 @@ def init_params(layout: NetworkLayout, seed: int) -> ModelParams:
 
 
 def _forward_stack(layers, inputs):
-    """Returns (output, cache) with pre-activations kept for backprop.  On a
-    model stack the output gains the leading model axis."""
+    """Returns (output, cache), the cache holding each layer's input and
+    output for backprop.  ReLU runs in place: its output is positive exactly
+    where its input is, so backprop's mask can read it.  On a model stack
+    the output gains the leading model axis."""
     a = inputs
     cache = []
     for layer in layers:
-        pre = a @ layer.weight
-        pre += layer.bias if layer.bias.ndim == 1 else layer.bias[:, None]
-        post = np.maximum(pre, 0.0) if layer.activation == "relu" else pre
-        cache.append((a, pre))
-        a = post
+        out = a @ layer.weight
+        out += layer.bias if layer.bias.ndim == 1 else layer.bias[:, None]
+        if layer.activation == "relu":
+            np.maximum(out, 0.0, out=out)
+        cache.append((a, out))
+        a = out
     return a, cache
 
 
 class Workspace:
-    """Arrays that the calls of a training run reuse, one per name, so that
-    no step allocates and frees its largest temporaries, the decoder's
-    forward arrays.  With three models a step's temporaries come to about a
-    megabyte, and freeing them every step let the allocator hand the heap's
-    top back to the system and fault it in again on the next step."""
+    """Arrays that the steps of a training run reuse, one per name: every
+    array of shape (models, width or n, batch), that is the step's messages,
+    noise and fades, the one-hot, each decoder layer's output and both
+    backward ``W @ g`` products.  No step then allocates a batch-sized
+    temporary.  With 15 models each is up to half a megabyte, above the
+    allocator's mmap threshold, so allocating them per step mapped, faulted
+    in and unmapped about a megabyte every step."""
 
     def __init__(self):
         self._arrays = {}
 
-    def array(self, name, shape):
-        """The float array kept under ``name``, made anew when the shape
+    def array(self, name, shape, dtype=np.float64):
+        """The array kept under ``name``, made anew when the shape or dtype
         differs; its contents are left from its last use."""
         a = self._arrays.get(name)
-        if a is None or a.shape != shape:
-            a = self._arrays[name] = np.empty(shape)
+        if a is None or a.shape != shape or a.dtype != dtype:
+            a = self._arrays[name] = np.empty(shape, dtype)
         return a
 
 
@@ -177,30 +182,32 @@ def _forward_columns(layers, inputs, work):
     cache = []
     for i, layer in enumerate(layers):
         shape = a.shape[:-2] + (layer.weight.shape[-1], a.shape[-1])
-        pre = np.matmul(layer.weight.mT, a, out=work.array(f"pre{i}", shape))
-        pre += layer.bias[..., None]
-        post = (np.maximum(pre, 0.0, out=work.array(f"post{i}", shape))
-                if layer.activation == "relu" else pre)
-        cache.append((a, pre))
-        a = post
+        out = np.matmul(layer.weight.mT, a, out=work.array(f"layer{i}", shape))
+        out += layer.bias[..., None]
+        if layer.activation == "relu":
+            np.maximum(out, 0.0, out=out)
+        cache.append((a, out))
+        a = out
     return a, cache
 
 
-def _backward_columns(layers, cache, grad_out, grad_layers,
-                      need_grad_in=True):
+def _backward_columns(layers, cache, grad_out, grad_layers, work=None):
     """Backprop through a dense stack on (models, width, batch) arrays,
-    writing each layer's (dW, db) into the arrays of ``grad_layers``; returns
-    the input gradient, or None when ``need_grad_in`` is false."""
+    writing each layer's (dW, db) into the arrays of ``grad_layers``.  A
+    ReLU layer's mask multiplies the incoming gradient in place.  Returns
+    the input gradient, kept in ``work``; without ``work`` (the encoder,
+    whose input is the identity) it returns None and skips that product."""
     g = grad_out
     for i in range(len(layers) - 1, -1, -1):
-        a_in, pre = cache[i]
+        a_in, out = cache[i]
         if layers[i].activation == "relu":
-            g = g * (pre > 0.0)
+            g *= out > 0.0
         np.matmul(a_in, g.mT, out=grad_layers[i].weight)
         g.sum(axis=-1, out=grad_layers[i].bias)
-        if i == 0 and not need_grad_in:
+        if i == 0 and work is None:
             return None
-        g = layers[i].weight @ g
+        g = np.matmul(layers[i].weight, g, out=None if work is None
+                      else work.array(f"grad{i}", a_in.shape))
     return g
 
 
@@ -318,7 +325,8 @@ def _loss_core(params, messages, noise, fade, want_grads, work):
 
     picks = messages * batch  # flat index of each sample's message row
     picks += _sample_offsets(models, m, batch)
-    onehot = np.zeros((models, m, batch))
+    onehot = work.array("onehot", (models, m, batch))
+    onehot.fill(0.0)
     onehot.ravel()[picks] = 1.0
 
     cb, z, norms, enc_cache = _encoder_forward(params)
@@ -327,8 +335,10 @@ def _loss_core(params, messages, noise, fade, want_grads, work):
         y *= fade[:, None, :]
     y += noise.mT
     logits, dec_cache = _forward_columns(params.decoder, y, work)
-    probs = np.subtract(logits, logits.max(axis=-2, keepdims=True),
-                        out=work.array("probs", logits.shape))
+    # the softmax overwrites the logits: the top layer is linear, so its
+    # backward reads only its input
+    probs = logits
+    probs -= logits.max(axis=-2, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-2, keepdims=True)
     with np.errstate(divide="ignore"):
@@ -343,7 +353,8 @@ def _loss_core(params, messages, noise, fade, want_grads, work):
     dlogits = probs  # in place: the loss no longer needs probs
     dlogits -= onehot
     dlogits /= batch
-    dy = _backward_columns(params.decoder, dec_cache, dlogits, grads.decoder)
+    dy = _backward_columns(params.decoder, dec_cache, dlogits, grads.decoder,
+                           work)
     if fade is not None:
         dy *= fade[:, None, :]
     dx = onehot @ dy.mT
@@ -351,8 +362,8 @@ def _loss_core(params, messages, noise, fade, want_grads, work):
     radial = (z * dx).sum(axis=-1, keepdims=True)
     dz = np.sqrt(n) / norms * (dx - z * radial / norms**2)
     _backward_columns(params.encoder,
-                      [(a.mT, pre.mT) for a, pre in enc_cache], dz.mT,
-                      grads.encoder, need_grad_in=False)
+                      [(a.mT, out.mT) for a, out in enc_cache], dz.mT,
+                      grads.encoder)
     return losses, grads
 
 

@@ -61,7 +61,7 @@ def test_probe_call_returns_params_and_history():
 
 
 def test_traced_sweep_reaches_every_training_function(tracing, tmp_path):
-    config = replace(ExperimentConfig(), steps=4, train_ebn0_db=(7.0,),
+    config = replace(ExperimentConfig(), steps=4, train_ebn0_db=(0.0, 7.0),
                      seeds=(0, 1), test_ebn0_start=6.0, test_ebn0_stop=6.0,
                      max_blocks=500)
     path = tmp_path / "sweep.cfg"
@@ -77,8 +77,8 @@ def test_traced_sweep_reaches_every_training_function(tracing, tmp_path):
     calls = {}
     for span in tracer.spans:
         calls[span.name] = calls.get(span.name, 0) + 1
+    # one lockstep trains both train points' seeds, with one call per step
     assert calls["harness.train_autoencoder"] == 1
-    # one call per lockstep step serves both seeds
     assert calls["nn.loss_and_gradients_given"] == 4
     assert calls["nn.adam_step"] == 4
     assert calls["cli.run_command"] == 1

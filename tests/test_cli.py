@@ -105,7 +105,8 @@ class TestExitCodes:
         assert run_command(["train", "--seed", "18446744073709551616",
                             "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
-            "error: seeds: entries must be in [0, 2**64)\n")
+            "error: --seed: expected an integer in [0, 2**64), got "
+            "18446744073709551616\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
@@ -334,16 +340,17 @@ class TestSystems:
 
 
 def record_training(monkeypatch):
-    """Record what each ``harness.train_autoencoder`` call returns."""
+    """Record each ``harness.train_autoencoder`` call as its (train Eb/N0,
+    seed) arguments and what it returned."""
     real = harness.train_autoencoder
-    returned = []
+    calls = []
 
-    def recording(*args):
-        returned.append(real(*args))
-        return returned[-1]
+    def recording(config, train_ebn0_db, seed):
+        calls.append((train_ebn0_db, seed, real(config, train_ebn0_db, seed)))
+        return calls[-1][-1]
 
     monkeypatch.setattr(harness, "train_autoencoder", recording)
-    return returned
+    return calls
 
 
 def degenerate_at_call(monkeypatch, bad_call):
@@ -578,23 +585,31 @@ class TestSubstreamKeys:
                               **overrides)
 
     def test_sweep_pools_seeds_and_baselines_use_first(self, monkeypatch):
-        config = self.small_config(steps=60, seeds=(3, 1))
+        config = self.small_config(steps=60, seeds=(3, 1),
+                                   train_ebn0_db=(7.0, 0.0))
         stop = harness.StopRule(20, 5_000)
-        alone = {seed: harness.train_autoencoder(config, 7.0, seed)[0]
-                 for seed in (3, 1)}
+        alone = {(train_db, seed):
+                 harness.train_autoencoder(config, train_db, seed)[0]
+                 for train_db in (7.0, 0.0) for seed in (3, 1)}
         trained = record_training(monkeypatch)
-        ae, *baselines = harness.run_sweep(config)
-        # the sweep trains its seeds in lockstep, bit-identical to alone
-        [pairs] = trained
-        for seed, (params, _) in zip((3, 1), pairs):
-            assert params.flat.tobytes() == alone[seed].flat.tobytes()
-        assert ae.seed_count == 2
-        for p in ae.points:
-            db = p.test_ebn0_db
-            assert p == self.pooled(
-                lambda seed: harness.autoencoder_system(
-                    alone[seed], config.channel_spec(db)),
-                (3, 1), "ae-train+7dB", db, stop)
+        curves = harness.run_sweep(config)
+        ae, baselines = curves[:2], curves[2:]
+        # one lockstep trains every (train Eb/N0, seed), bit-identical to
+        # training each alone
+        [(dbs, seeds, pairs)] = trained
+        assert list(zip(dbs, seeds)) == list(alone)
+        for key, (params, _) in zip(alone, pairs):
+            assert params.flat.tobytes() == alone[key].flat.tobytes()
+        assert [c.label for c in ae] == ["ae-train+7dB", "ae-train+0dB"]
+        for curve in ae:
+            assert curve.seed_count == 2
+            for p in curve.points:
+                db = p.test_ebn0_db
+                assert p == self.pooled(
+                    lambda seed: harness.autoencoder_system(
+                        alone[curve.train_ebn0_db, seed],
+                        config.channel_spec(db)),
+                    (3, 1), curve.label, db, stop)
         makers = {"hamming_hard": (harness.hamming_hard_system, 4 / 7),
                   "hamming_mld": (harness.hamming_mld_system, 4 / 7),
                   "uncoded": (harness.uncoded_system, 1.0)}
@@ -699,7 +714,8 @@ class TestWidthSweep:
         assert (curve.system, curve.label, curve.train_ebn0_db,
                 curve.seed_count) == ("autoencoder", "ae-width16", 7.0, 2)
         assert curve.points == sweep[0].points
-        [pairs] = trained
+        [(dbs, seeds, pairs)] = trained
+        assert (dbs, seeds) == ((7.0, 7.0), (0, 1))
         for (params, _), lone in zip(pairs, alone):
             assert params.flat.tobytes() == lone.flat.tobytes()
 
@@ -838,25 +854,29 @@ class TestEmitters:
         assert "semilogy" in text
 
 
-def poison_noise(monkeypatch, models, step, model):
-    """NaN noise for one model of a lockstep group at one training step:
-    each step draws once per model, in model order."""
+def poison_noise(monkeypatch, models, *at):
+    """NaN noise for the draws at each (step, model) of ``at`` in a lockstep
+    of ``models`` models: each step draws once per model, in model order.
+    Returns the Eb/N0 of each poisoned draw's channel, in draw order."""
     real = channels.draw_disturbance
-    calls = []
+    poisoned_at = {(step - 1) * models + model for step, model in at}
+    calls, poisoned_dbs = [], []
 
     def poisoned(spec, shape, rng):
         noise, fade = real(spec, shape, rng)
-        calls.append(1)
-        if len(calls) == (step - 1) * models + model + 1:
+        if len(calls) in poisoned_at:
             noise = noise * np.nan
+            poisoned_dbs.append(spec.ebn0_db)
+        calls.append(1)
         return noise, fade
 
     monkeypatch.setattr(channels, "draw_disturbance", poisoned)
+    return poisoned_dbs
 
 
 class TestLockstep:
-    """The seeds of one training point train together on a leading model
-    axis, each bit-identical to training alone."""
+    """Models train together on a leading model axis, each at its own train
+    Eb/N0 and seed and bit-identical to training alone."""
 
     @pytest.mark.parametrize("overrides", [
         {},
@@ -866,10 +886,12 @@ class TestLockstep:
     ], ids=["awgn", "correlated_awgn", "rayleigh", "hidden12"])
     def test_lockstep_equals_training_alone(self, overrides):
         config = reduced_config(steps=120, loss_log_interval=20, **overrides)
-        together = harness.train_autoencoder(config, 2.0, (0, 1, 2))
-        assert len(together) == 3
-        for seed, (params, history) in zip((0, 1, 2), together):
-            alone, alone_history = harness.train_autoencoder(config, 2.0, seed)
+        points = [(db, seed) for db in (-4.0, 0.0, 7.0) for seed in (0, 1, 2)]
+        dbs, seeds = zip(*points)
+        together = harness.train_autoencoder(config, dbs, seeds)
+        assert len(together) == len(points)
+        for (db, seed), (params, history) in zip(points, together):
+            alone, alone_history = harness.train_autoencoder(config, db, seed)
             assert params.flat.tobytes() == alone.flat.tobytes()
             assert history.losses == alone_history.losses
             assert history.steps == alone_history.steps
@@ -881,13 +903,63 @@ class TestLockstep:
         assert params.flat.tobytes() == alone.flat.tobytes()
         assert history.losses == alone_history.losses
 
+    def test_train_points_must_match_seeds(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"^2 train Eb/N0 values for 3 seeds$"):
+            harness.train_autoencoder(reduced_config(steps=1), (0.0, 7.0),
+                                      (0, 1, 2))
+
     def test_lockstep_failure_names_point_seed_and_step(self, monkeypatch):
-        poison_noise(monkeypatch, models=3, step=3, model=1)
+        poison_noise(monkeypatch, 3, (3, 1))
         with pytest.raises(DivergenceError,
                            match=r"^training at 7 dB, seed 1: non-finite "
                                  r"loss \(at step 3\)$") as info:
             harness.run_sweep(reduced_config(steps=10, seeds=(0, 1, 2)))
         assert info.value.step == 3
+
+    # the sweep trains (-4, 0, 7 dB) x seeds (5, 6) as models 0..5
+    @pytest.mark.parametrize("at, named, step, model, dbs", [
+        # model 3 is 0 dB, seed 6
+        (((3, 3),), "0 dB, seed 6", 3, 3, [0.0]),
+        # 7 dB, seed 6 fails at step 2, before -4 dB, seed 5 at step 4,
+        # which is never reached: the earliest step stops every point
+        (((4, 0), (2, 5)), "7 dB, seed 6", 2, 5, [7.0]),
+    ], ids=["one-failure", "earliest-of-two"])
+    def test_mixed_lockstep_failure_names_its_own_point(
+            self, monkeypatch, at, named, step, model, dbs):
+        poisoned = poison_noise(monkeypatch, 6, *at)
+        with pytest.raises(DivergenceError,
+                           match=rf"^training at {named}: non-finite "
+                                 rf"loss \(at step {step}\)$") as info:
+            harness.run_sweep(reduced_config(
+                steps=10, train_ebn0_db=(-4.0, 0.0, 7.0), seeds=(5, 6)))
+        assert (info.value.step, info.value.model) == (step, model)
+        assert poisoned == dbs
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads Linux's minor page-fault count")
+    def test_warm_lockstep_faults_in_no_pages_per_step(self):
+        # Per-step temporaries of 15 models exceed the allocator's mmap
+        # threshold, so allocating them every step mapped and faulted in
+        # about 270 pages per step.  Kept in the workspace, a run faults in
+        # only the workspace's own first touch, about 15 pages per step.
+        # The allocator's thresholds move with what a process has freed
+        # before, so the run is measured in a fresh interpreter.
+        script = textwrap.dedent("""
+            import resource
+            from aecomm import ExperimentConfig, harness
+            config = ExperimentConfig(steps=50, loss_log_interval=50)
+            seeds = tuple(range(15))
+            harness.train_autoencoder(config, 7.0, seeds)  # warm
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            harness.train_autoencoder(config, 7.0, seeds)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """)
+        src = Path(harness.__file__).resolve().parents[1]
+        done = subprocess.run([sys.executable, "-c", script],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, check=True)
+        assert int(done.stdout) < 50 * 50
 
     def test_lockstep_nonfinite_parameters_name_the_seed(self, monkeypatch):
         real = nn.adam_step
