@@ -30,6 +30,22 @@ from .errors import ConfigFileError, ConfigurationError
 MAX_TEST_POINTS = 10_000
 
 
+def db_key(db: float) -> str:
+    """How substream keys and labels name an Eb/N0: 6 significant digits."""
+    return format(float(db), "g")
+
+
+def _shared_key(values) -> str:
+    """Names the first two ``values`` that ``db_key`` names alike, if any."""
+    seen = {}
+    for value in map(float, values):
+        key = db_key(value)
+        if key in seen:
+            return f"{seen[key]!r} and {value!r} share the key {key!r}"
+        seen[key] = value
+    return ""
+
+
 def _key(section, default, key=None):
     """A field written as ``key`` (its own name by default) in [section]."""
     return field(default=default, metadata={"section": section, "key": key})
@@ -99,6 +115,9 @@ class ExperimentConfig:
                 "entries must be finite")
         require(len(set(self.train_ebn0_db)) == len(self.train_ebn0_db),
                 "train_ebn0_db", "entries must not repeat")
+        # points with one key would train or test on one draw under one label
+        shared = _shared_key(self.train_ebn0_db)
+        require(not shared, "train_ebn0_db", f"entries {shared}")
         for key in ("test_ebn0_start", "test_ebn0_stop", "test_ebn0_step"):
             require(np.isfinite(getattr(self, key)), key, "must be finite")
         require(self.test_ebn0_step > 0, "test_ebn0_step", "must be positive")
@@ -106,6 +125,8 @@ class ExperimentConfig:
                 "must not exceed test_ebn0_stop")
         require(self._test_steps() < MAX_TEST_POINTS, "test_ebn0_step",
                 f"gives more than {MAX_TEST_POINTS} test points")
+        shared = _shared_key(self.test_grid())
+        require(not shared, "test_ebn0_step", f"test points {shared}")
         require(self.target_block_errors >= 1, "target_block_errors", "must be >= 1")
         require(self.max_blocks >= 1, "max_blocks", "must be >= 1")
         require(len(self.seeds) > 0, "seeds", "must be non-empty")

@@ -7,10 +7,9 @@ Determinism contract: every random draw comes from a substream named by
 fixed-size chunks in index order, each on its own substream, and stops at
 the exact block where the target error count is reached.  Within a chunk the
 messages are drawn whole.  Each system is a ``Link`` value: a channel spec,
-a codebook and a decoder.  The estimate sends the codewords through
-``transmit_tiles`` in tiles of ``channels.TILE_ROWS`` rows, bit-identical to
-one whole-chunk draw, decodes each tile, and asks for no tile after the
-one that reaches the target.
+a codebook and a decoder.  The estimate sends the codewords in tiles of
+``TILE_ROWS`` rows, one ``channels.transmit`` per tile, decodes each tile,
+and draws no tile after the one that reaches the target.
 Parallelism is one level: the curve routines run whole estimates, one per
 (point, seed), on ``workers`` threads.  Each estimate owns its substreams,
 so every result is invariant to the worker count.  The CSVs write a float
@@ -24,20 +23,19 @@ from dataclasses import astuple, dataclass, field, replace
 import numpy as np
 
 from . import channels, codecs, nn, shiftmetrics
-from .config import ExperimentConfig
+from .config import ExperimentConfig, db_key
 from .errors import (ConfigurationError, DegenerateCodewordError,
                      DivergenceError)
 from .rng import substream
 
 DEFAULT_CHUNK_BLOCKS = 20_000
+# Rows per transmitted tile: every decoder temporary of a tile stays under
+# 128 KB, and its matrix products are small enough for one BLAS thread.
+TILE_ROWS = 1024
 
 # two-sided 95%: scipy.special.ndtri(0.975), written out so that importing
 # aecomm does not import scipy
 _Z95 = 1.959963984540054
-
-
-def _db_key(db: float) -> str:
-    return format(float(db), "g")
 
 
 def wilson_interval(errors: int, blocks: int):
@@ -130,9 +128,10 @@ def estimate_bler(link: Link, test_ebn0_db: float, stop: StopRule,
     ``substream(*seed_key, i)``.  Chunks hold ``DEFAULT_CHUNK_BLOCKS`` blocks
     (the last one fewer, at ``max_blocks``), run in index order, and the
     count stops at the exact block where the target error count is reached.
-    Errors are counted per decoded tile, and no tile after the one that
-    reaches the target is asked for.  ``workers`` has no effect: the curve
-    routines run whole estimates in parallel instead.
+    Each tile of ``TILE_ROWS`` messages is sent by one ``channels.transmit``
+    on the chunk's substream and decoded; no tile after the one that reaches
+    the target is drawn.  ``workers`` has no effect: the curve routines run
+    whole estimates in parallel instead.
     """
     target = stop.target_block_errors
     blocks = errors = index = 0
@@ -140,8 +139,9 @@ def estimate_bler(link: Link, test_ebn0_db: float, stop: StopRule,
         rng = substream(*seed_key, index)
         msgs = rng.integers(0, len(link.codebook),
                             min(DEFAULT_CHUNK_BLOCKS, stop.max_blocks - blocks))
-        for y in channels.transmit_tiles(link.spec, link.codebook, msgs, rng):
-            sent, msgs = msgs[:len(y)], msgs[len(y):]
+        for start in range(0, msgs.size, TILE_ROWS):
+            sent = msgs[start:start + TILE_ROWS]
+            y = channels.transmit(link.spec, link.codebook[sent], rng)
             wrong = np.flatnonzero(link.decode(y) != sent)
             if errors + wrong.size >= target:
                 blocks += int(wrong[target - errors - 1]) + 1
@@ -216,8 +216,8 @@ def train_autoencoder(config: ExperimentConfig, train_ebn0_db, seed):
     layout = nn.NetworkLayout(config.message_count, config.channel_uses,
                               config.decoder_hidden)
     specs = [config.channel_spec(db) for db in dbs]
-    streams = [(substream(s, "train", _db_key(db)),
-                substream(s, "channel", "train", _db_key(db)))
+    streams = [(substream(s, "train", db_key(db)),
+                substream(s, "channel", "train", db_key(db)))
                for s, db in zip(seeds, dbs)]
 
     def failure(kind, text, step, k):
@@ -294,7 +294,7 @@ def _curve(system, label, train_ebn0_db, link_for, seeds, key, config,
     def estimate(task):
         db, seed = task
         return estimate_bler(link_for(seed, db), db, stop,
-                             seed_key=(seed, "bler", key, _db_key(db)))
+                             seed_key=(seed, "bler", key, db_key(db)))
 
     if workers == 1:
         estimates = list(map(estimate, tasks))
@@ -426,9 +426,10 @@ def robustness_probe(params: nn.ModelParams, config: ExperimentConfig,
     """Evaluate a model trained on the configured channel under
     correlated-noise and Rayleigh variants, side by side with its AWGN curve.
 
-    All variants at one test point share one substream per chunk, and the
-    additive noise is drawn before the fade, so the comparisons are paired:
-    rho = 0 reproduces the AWGN curve exactly.
+    All variants at one test point share one substream per chunk, so they
+    see the same messages and rho = 0 reproduces the AWGN curve exactly.
+    Rayleigh draws each tile's fades after its noise, so it shares the AWGN
+    noise on a chunk's first tile only.
     """
     rate = float(config.rate)
     variants = [("ae-awgn", "awgn", 0.0)]

@@ -2,11 +2,11 @@
 
 perfbench/tracing.py names the functions its per-layer metrics come from,
 and its training probe calls ``harness.train_autoencoder(config, db, seed)``.
-perfbench/workloads.py and perfbench/run.py call the program's modules
-directly.  A refactor that renames, hides or bypasses one of them, or drops
-an argument such a call passes, breaks the benchmark without failing any
-other test.  The benchmark's sources are read as they stand; nothing is
-written next to them.
+perfbench/workloads.py, perfbench/run.py and perfbench/make_checkpoint.py
+call the program's modules directly.  A refactor that renames, hides or
+bypasses one of them, or drops an argument such a call passes, breaks the
+benchmark without failing any other test.  The benchmark's sources are
+read as they stand; nothing is written next to them.
 """
 
 import ast
@@ -25,7 +25,8 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
 # the benchmark sources whose calls into the program are checked, and the
 # aecomm modules whose attributes they call
-CALLERS = (PERFBENCH / "workloads.py", PERFBENCH / "run.py")
+CALLERS = (PERFBENCH / "workloads.py", PERFBENCH / "run.py",
+           PERFBENCH / "make_checkpoint.py")
 CALLED = ("harness", "config", "nn", "codecs", "cli")
 
 

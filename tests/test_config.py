@@ -267,10 +267,18 @@ INVALID_FILES = [
      r"test_ebn0_step: gives more than 10000 test points"),
     ("# fine grid\n[sweep]\ntest_ebn0_step = 1e-6\n", 3,
      r"test_ebn0_step: gives more than 10000 test points"),
+    # substreams and labels name an Eb/N0 by 6 significant digits, so each
+    # pair would train or test on one draw under one label
+    ("[sweep]\ntrain_ebn0_db = 7, 7.0000001\n", 2,
+     r"train_ebn0_db: entries 7\.0 and 7\.0000001 share the key '7'"),
+    ("[sweep]\ntest_ebn0_start = 10\ntest_ebn0_stop = 10.000001\n"
+     "test_ebn0_step = 5e-7\n", 4,
+     r"test_ebn0_step: test points 10\.0 and 10\.0000005 share the key '10'"),
 ]
 INVALID_IDS = ["repeated-seeds", "seed-2**64", "negative-seed",
                "rho-out-of-range", "stop-inf", "start-inf",
-               "step-inf", "step-1e-300", "step-1e-6"]
+               "step-inf", "step-1e-300", "step-1e-6", "train-key-clash",
+               "grid-key-clash"]
 
 
 class TestValidationNamesLine:

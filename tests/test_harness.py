@@ -10,9 +10,10 @@ from scipy.special import ndtri
 from scipy.stats import binomtest
 
 from aecomm import ExperimentConfig, channels, codecs, harness, nn
-from aecomm.channels import TILE_ROWS, ChannelSpec, transmit, transmit_tiles
+from aecomm.channels import ChannelSpec, transmit
 from aecomm.errors import (ConfigurationError, DegenerateCodewordError,
                            DivergenceError)
+from aecomm.harness import TILE_ROWS
 from aecomm.rng import substream
 
 
@@ -213,9 +214,12 @@ def distance_mld(y):
 
 
 def decoded_tiles(link, messages, rng):
-    """The link's decode of each tile that transmit_tiles sends."""
-    return [link.decode(y) for y in
-            transmit_tiles(link.spec, link.codebook, messages, rng)]
+    """The link's decode of each ``TILE_ROWS`` tile of ``messages``, each
+    tile sent by one ``transmit``, as the estimator sends them."""
+    tiles = [messages[start:start + TILE_ROWS]
+             for start in range(0, len(messages), TILE_ROWS)]
+    return [link.decode(transmit(link.spec, link.codebook[sent], rng))
+            for sent in tiles]
 
 
 def run_whole(link, messages, rng):
@@ -224,15 +228,22 @@ def run_whole(link, messages, rng):
 
 
 def whole_chunk_estimate(codebook, decode, spec, db, stop, seed_key):
-    """The estimator without tiles: each chunk is transmitted and decoded
-    whole, and a cumulative sum finds the block of the target error."""
+    """The estimator without a tile loop: each chunk is transmitted and
+    decoded whole, and a cumulative sum finds the block of the target error.
+    On rayleigh, whose fades follow each tile's noise, every tile of the
+    chunk is transmitted eagerly and the tiles are joined."""
     target = stop.target_block_errors
     blocks = errors = index = 0
     while errors < target and blocks < stop.max_blocks:
         rng = substream(*seed_key, index)
         msgs = rng.integers(0, len(codebook), min(
             harness.DEFAULT_CHUNK_BLOCKS, stop.max_blocks - blocks))
-        y = transmit(spec, codebook[msgs], rng)
+        if spec.kind == "rayleigh":
+            y = np.concatenate([
+                transmit(spec, codebook[msgs[start:start + TILE_ROWS]], rng)
+                for start in range(0, msgs.size, TILE_ROWS)])
+        else:
+            y = transmit(spec, codebook[msgs], rng)
         cums = errors + np.cumsum(decode(y) != msgs)
         if cums[-1] >= target:
             blocks += int(np.searchsorted(cums, target)) + 1
@@ -510,9 +521,18 @@ class TestWorkers:
         assert threaded == serial
         assert serial[0].seed_count == 2
 
-    def test_no_chunk_is_thrown_away(self, monkeypatch):
-        config = reduced_config(test_ebn0_start=2.0, test_ebn0_stop=8.0,
-                                test_ebn0_step=2.0, max_blocks=100_000)
+    # the Rayleigh BLER falls much more slowly with Eb/N0, so its grid runs
+    # to 32 dB to reach points past the first chunk
+    @pytest.mark.parametrize("kind, rho, start, stop, step", [
+        ("awgn", 0.0, 2.0, 8.0, 2.0),
+        ("correlated_awgn", 0.5, 2.0, 8.0, 2.0),
+        ("rayleigh", 0.0, 8.0, 32.0, 8.0),
+    ], ids=["awgn", "correlated_awgn", "rayleigh"])
+    def test_no_chunk_is_thrown_away(self, monkeypatch, kind, rho, start,
+                                     stop, step):
+        config = reduced_config(channel_kind=kind, rho=rho,
+                                test_ebn0_start=start, test_ebn0_stop=stop,
+                                test_ebn0_step=step, max_blocks=100_000)
         rows = []
 
         def counting(spec, x, rng):
@@ -522,47 +542,27 @@ class TestWorkers:
         monkeypatch.setattr(harness.channels, "transmit", counting)
         curves = harness.baseline_curves(config, workers=3)
         chunk = harness.DEFAULT_CHUNK_BLOCKS
-        needed = [self.rows_needed(p.blocks, config.max_blocks, TILE_ROWS)
+        needed = [self.rows_needed(p.blocks, config.max_blocks)
                   for c in curves for p in c.points]
         # a point that stops at its target after the first chunk, where
-        # chunks run ahead of the stop would be discarded, and inside a tile
+        # chunks run ahead of the stop would be discarded, inside a tile and
+        # before its chunk's last tile, where a whole-chunk draw would
+        # transmit more
         assert any(p.block_errors == 50 and p.blocks > chunk
                    and p.blocks % TILE_ROWS
+                   and p.blocks % chunk < chunk - TILE_ROWS
                    for c in curves for p in c.points)
         assert sum(rows) == sum(needed)
 
-    def test_rayleigh_chunks_are_drawn_whole(self, monkeypatch, quick_model):
-        config = reduced_config(test_ebn0_start=4.0, test_ebn0_stop=8.0,
-                                test_ebn0_step=4.0, max_blocks=50_000)
-        rows = []
-
-        def counting(spec, x, rng):
-            rows.append((spec.kind, x.shape[0]))
-            return transmit(spec, x, rng)
-
-        monkeypatch.setattr(harness.channels, "transmit", counting)
-        awgn, rayleigh = harness.robustness_probe(
-            quick_model, config, 7.0, seed=0, rhos=(), workers=2)
-        for curve, kind, tile in ((awgn, "awgn", TILE_ROWS),
-                                  (rayleigh, "rayleigh",
-                                   harness.DEFAULT_CHUNK_BLOCKS)):
-            assert sum(n for k, n in rows if k == kind) == sum(
-                self.rows_needed(p.blocks, config.max_blocks, tile)
-                for p in curve.points)
-        # the rayleigh points stop early in their first chunk, where slicing
-        # a lazy draw would have transmitted fewer rows
-        assert all(p.block_errors == 50
-                   and p.blocks < harness.DEFAULT_CHUNK_BLOCKS - TILE_ROWS
-                   for p in rayleigh.points)
-
     @staticmethod
-    def rows_needed(blocks, max_blocks, tile):
+    def rows_needed(blocks, max_blocks):
         """Rows transmitted for a point of ``blocks``: whole chunks up to
         the last one, then whole tiles of that chunk up to the stop."""
         chunk = harness.DEFAULT_CHUNK_BLOCKS
         before = (blocks - 1) // chunk * chunk
         last = min(chunk, max_blocks - before)
-        return before + min(last, tile * -(-(blocks - before) // tile))
+        tiles = -(-(blocks - before) // TILE_ROWS)
+        return before + min(last, tiles * TILE_ROWS)
 
 
 class TestSubstreamKeys:

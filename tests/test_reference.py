@@ -33,7 +33,7 @@ REDUCED_DIGESTS = {
     (("baseline",), "baseline.csv"):
         "be71b83e0728efa2c1c641dfc892c0d0e7d826d17b7af4cfb9484fa1f5e0bf40",
     (("robustness", "--train-db", "7"), "robustness.csv"):
-        "926b6fe050fd91f5c2c215e439cc760922afa083fe1d8b9a2b581f9e1615ec6a",
+        "e64d88c37a784f7631fefc6ed63b0702a133af1b6e49db0af7c2cd1d40f3191b",
     (("overlap", "--train-db", "7"), "overlap.csv"):
         "61797b9795636e2e3a532530f2f7bdc4e44b71da032c32d3931d145abed660d8",
 }
