@@ -9,7 +9,7 @@ so the received vector is y ~ N(x, sigma^2 I) on the plain AWGN channel.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -62,7 +62,7 @@ class ChannelSpec:
                 f"ebn0_db must be finite or +inf, got {self.ebn0_db}"
             )
 
-    @property
+    @cached_property
     def sigma2(self) -> float:
         return noise_variance(self.ebn0_db, self.rate)
 
@@ -84,6 +84,23 @@ def correlation_factor(rho: float, n: int, sigma2: float) -> np.ndarray:
     return factor
 
 
+def _shape_noise(spec: ChannelSpec, normals: np.ndarray, out):
+    """``spec``'s noise from standard normals, written into ``out`` (a new
+    array when None): ``normals * sigma`` on awgn and rayleigh, ``normals @
+    L.T`` on correlated noise."""
+    if spec.kind == "correlated_awgn":
+        factor = correlation_factor(spec.rho, normals.shape[-1], spec.sigma2)
+        return np.matmul(normals, factor.T, out=out)
+    return np.multiply(normals, np.sqrt(spec.sigma2), out=out)
+
+
+def _draw_fade(spec: ChannelSpec, shape, rng: np.random.Generator):
+    """One rayleigh fade per block of ``shape``; None on the other kinds."""
+    if spec.kind != "rayleigh":
+        return None
+    return rng.rayleigh(_RAYLEIGH_SCALE, size=shape[:-1])
+
+
 def draw_disturbance(spec: ChannelSpec, shape, rng: np.random.Generator):
     """Sample the channel disturbance for a batch of codewords.
 
@@ -96,17 +113,32 @@ def draw_disturbance(spec: ChannelSpec, shape, rng: np.random.Generator):
     whether fading is applied on top.
     """
     shape = tuple(shape)
-    sigma2 = spec.sigma2
-    if spec.kind == "correlated_awgn":
-        factor = correlation_factor(spec.rho, shape[-1], sigma2)
-        noise = rng.standard_normal(shape) @ factor.T
-    else:
-        noise = rng.standard_normal(shape)
-        noise *= np.sqrt(sigma2)
-    fade = None
-    if spec.kind == "rayleigh":
-        fade = rng.rayleigh(_RAYLEIGH_SCALE, size=shape[:-1])
-    return noise, fade
+    normals = rng.standard_normal(shape)
+    # scaled in place; the correlated product needs an array of its own
+    noise = _shape_noise(spec, normals,
+                         None if spec.kind == "correlated_awgn" else normals)
+    return noise, _draw_fade(spec, shape, rng)
+
+
+def draw_shared_disturbance(specs, rng: np.random.Generator, out):
+    """One disturbance draw shared by several specs of one kind.
+
+    ``out`` holds one array per spec, each of the codeword-batch shape.  The
+    standard normals are drawn once, then the rayleigh fades, and spec k's
+    noise is written into ``out[k]``: exactly the noise that
+    ``draw_disturbance(specs[k], shape, rng)`` gives on a clone of ``rng``.
+    Returns the fades, shared by every spec, or None off the rayleigh kind.
+    """
+    kinds = {spec.kind for spec in specs}
+    if len(kinds) != 1 or len(out) != len(specs):
+        raise ValueError(f"a shared draw needs one kind and one output per "
+                         f"spec; got kinds {sorted(kinds)} and {len(out)} "
+                         f"outputs for {len(specs)} specs")
+    shape = out[0].shape
+    normals = rng.standard_normal(shape)
+    for spec, noise in zip(specs, out):
+        _shape_noise(spec, normals, noise)
+    return _draw_fade(specs[0], shape, rng)
 
 
 def transmit(spec: ChannelSpec, x: np.ndarray, rng: np.random.Generator):

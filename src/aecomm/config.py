@@ -115,7 +115,7 @@ class ExperimentConfig:
                 "entries must be finite")
         require(len(set(self.train_ebn0_db)) == len(self.train_ebn0_db),
                 "train_ebn0_db", "entries must not repeat")
-        # points with one key would train or test on one draw under one label
+        # points with one key would share one label and one BLER substream
         shared = _shared_key(self.train_ebn0_db)
         require(not shared, "train_ebn0_db", f"entries {shared}")
         for key in ("test_ebn0_start", "test_ebn0_stop", "test_ebn0_step"):

@@ -2,14 +2,17 @@
 rules and Wilson intervals, the train/test generalization sweep, the overlap
 table, the decoder-width probe, the channel-mismatch probe, and the CSVs.
 
-Determinism contract: every random draw comes from a substream named by
-(seed, purpose, operating point[, chunk index]).  One BLER estimate walks
-fixed-size chunks in index order, each on its own substream, and stops at
-the exact block where the target error count is reached.  Within a chunk the
-messages are drawn whole.  Each system is a ``Link`` value: a channel spec,
-a codebook and a decoder.  The estimate sends the codewords in tiles of
-``TILE_ROWS`` rows, one ``channels.transmit`` per tile, decodes each tile,
-and draws no tile after the one that reaches the target.
+Determinism contract: every random draw comes from a named substream.
+Training keys are (seed, purpose): the models of one seed share each step's
+messages, standard normals and fades, and a model's operating point only
+shapes the shared normals into its noise.  BLER keys are (seed, purpose,
+operating point, chunk index).  One BLER estimate walks fixed-size chunks
+in index order, each on its own substream, and stops at the exact block
+where the target error count is reached.  Within a chunk the messages are
+drawn whole.  Each system is a ``Link`` value: a channel spec, a codebook
+and a decoder.  The estimate sends the codewords in tiles of ``TILE_ROWS``
+rows, one ``channels.transmit`` per tile, decodes each tile, and draws no
+tile after the one that reaches the target.
 Parallelism is one level: the curve routines run whole estimates, one per
 (point, seed), on ``workers`` threads.  Each estimate owns its substreams,
 so every result is invariant to the worker count.  The CSVs write a float
@@ -193,19 +196,25 @@ class TrainingHistory:
 
 def train_autoencoder(config: ExperimentConfig, train_ebn0_db, seed):
     """Train one autoencoder at a fixed Eb/N0 with Adam from
-    ``init_params(layout, seed)``; deterministic per (config, seed).
-    Returns (ModelParams, TrainingHistory) with the loss recorded every
-    ``loss_log_interval`` steps.
+    ``init_params(layout, seed)``; deterministic per (config, train Eb/N0,
+    seed).  Returns (ModelParams, TrainingHistory) with the loss recorded
+    every ``loss_log_interval`` steps.
+
+    Each step draws the messages from ``substream(seed, "train")`` and the
+    standard normals, then any Rayleigh fades, from ``substream(seed,
+    "channel", "train")``; the train Eb/N0 only shapes the normals into
+    the noise.
 
     ``seed`` may also be a tuple of seeds: their models then train in
-    lockstep on a leading model axis and one pair per seed comes back, each
-    bit-identical to training that seed alone, since each model keeps its
-    own substreams and draw order.  ``train_ebn0_db`` may then be a tuple
-    as long as ``seed``: model k trains at ``train_ebn0_db[k]`` with
-    ``seed[k]``.  Each step copies every model's messages and draws into
-    its row of arrays kept in one ``nn.Workspace``.  A numerical failure
-    stops every model; it names the failing model's train Eb/N0 and seed
-    (every model's when unknown) and the step.
+    lockstep on a leading model axis and one pair per seed comes back.
+    ``train_ebn0_db`` may then be a tuple as long as ``seed``: model k
+    trains at ``train_ebn0_db[k]`` with ``seed[k]``.  The models of one
+    seed share one draw per step, each shaping it by its own channel spec,
+    so every model is bit-identical to training it alone.  Each step
+    writes the messages and noise straight into rows of arrays kept in one
+    ``nn.Workspace``.  A numerical failure stops every model; it names the
+    failing model's train Eb/N0 and seed (every model's when unknown) and
+    the step.
     """
     seeds = seed if isinstance(seed, tuple) else (seed,)
     dbs = (train_ebn0_db if isinstance(train_ebn0_db, tuple)
@@ -215,10 +224,6 @@ def train_autoencoder(config: ExperimentConfig, train_ebn0_db, seed):
                                  f"{len(seeds)} seeds")
     layout = nn.NetworkLayout(config.message_count, config.channel_uses,
                               config.decoder_hidden)
-    specs = [config.channel_spec(db) for db in dbs]
-    streams = [(substream(s, "train", db_key(db)),
-                substream(s, "channel", "train", db_key(db)))
-               for s, db in zip(seeds, dbs)]
 
     def failure(kind, text, step, k):
         named = range(len(seeds)) if k is None else (k,)
@@ -234,20 +239,27 @@ def train_autoencoder(config: ExperimentConfig, train_ebn0_db, seed):
         config.epsilon)
     histories = [TrainingHistory() for _ in seeds]
     work = nn.Workspace()
-    batch_shape = (config.batch_size, config.channel_uses)
     messages = work.array("messages", (len(seeds), config.batch_size),
                           np.int64)
-    noise = work.array("noise", (len(seeds),) + batch_shape)
+    noise = work.array("noise", messages.shape + (config.channel_uses,))
     fade = (work.array("fade", messages.shape)
             if config.channel_kind == "rayleigh" else None)
+    # per distinct seed: its models' rows, channel specs and noise rows, and
+    # its message and channel substreams
+    draws = []
+    for s in dict.fromkeys(seeds):
+        rows = [k for k in range(len(seeds)) if seeds[k] == s]
+        draws.append((rows, [config.channel_spec(dbs[k]) for k in rows],
+                      [noise[k] for k in rows], substream(s, "train"),
+                      substream(s, "channel", "train")))
     for step in range(1, config.steps + 1):
-        for k, (spec, (msg_rng, noise_rng)) in enumerate(zip(specs, streams)):
-            messages[k] = msg_rng.integers(0, config.message_count,
-                                           config.batch_size)
-            noise[k], fade_k = channels.draw_disturbance(spec, batch_shape,
-                                                         noise_rng)
+        for rows, row_specs, row_noise, msg_rng, noise_rng in draws:
+            messages[rows] = msg_rng.integers(0, config.message_count,
+                                              config.batch_size)
+            fades = channels.draw_shared_disturbance(row_specs, noise_rng,
+                                                     row_noise)
             if fade is not None:
-                fade[k] = fade_k
+                fade[rows] = fades
         try:
             losses, grads = nn.loss_and_gradients_given(params, messages,
                                                         noise, fade, work)

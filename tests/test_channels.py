@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from aecomm import channels
 from aecomm.channels import (
     ChannelSpec,
     correlation_factor,
     draw_disturbance,
+    draw_shared_disturbance,
     noise_variance,
     transmit,
 )
@@ -44,6 +46,21 @@ class TestChannelSpec:
         spec = ChannelSpec()
         assert spec.kind == "awgn"
         assert spec.sigma2 == noise_variance(spec.ebn0_db, spec.rate)
+
+    @pytest.mark.parametrize("ebn0_db", [-3.5, 0.0, 7.0, np.inf])
+    def test_sigma2_is_the_noise_variance_computed_once(self, monkeypatch,
+                                                        ebn0_db):
+        spec = ChannelSpec("awgn", ebn0_db, 4 / 7)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return noise_variance(*args)
+
+        monkeypatch.setattr(channels, "noise_variance", counting)
+        assert spec.sigma2 == noise_variance(ebn0_db, 4 / 7)
+        assert spec.sigma2 == spec.sigma2
+        assert calls == [(ebn0_db, 4 / 7)]
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigurationError):
@@ -133,6 +150,37 @@ class TestDrawDisturbance:
         a, _ = draw_disturbance(awgn, (500, 7), substream(4, "pair"))
         b, _ = draw_disturbance(ray, (500, 7), substream(4, "pair"))
         assert np.array_equal(a, b)
+
+
+class TestSharedDraw:
+    """One draw shaped for several specs of one kind, as lockstep training
+    draws it for the models of one seed."""
+
+    @pytest.mark.parametrize("kind, rho", [
+        ("awgn", 0.0), ("correlated_awgn", 0.7), ("rayleigh", 0.0)],
+        ids=["awgn", "correlated_awgn", "rayleigh"])
+    def test_each_spec_gets_what_draw_disturbance_gives(self, kind, rho):
+        specs = [ChannelSpec(kind, db, 4 / 7, rho=rho)
+                 for db in (-4.0, 0.0, 7.0, np.inf)]
+        out = np.full((len(specs), 300, 7), np.nan)
+        shared_rng = substream(30, kind)
+        fade = draw_shared_disturbance(specs, shared_rng, list(out))
+        for spec, noise in zip(specs, out):
+            rng = substream(30, kind)
+            want, want_fade = draw_disturbance(spec, (300, 7), rng)
+            assert noise.tobytes() == want.tobytes()
+            if want_fade is None:
+                assert fade is None
+            else:
+                assert fade.tobytes() == want_fade.tobytes()
+            # both left the substream at the same place
+            assert rng.bit_generator.state == shared_rng.bit_generator.state
+
+    def test_specs_must_share_a_kind(self):
+        specs = [ChannelSpec("awgn", 7.0), ChannelSpec("rayleigh", 7.0)]
+        with pytest.raises(ValueError, match="one kind"):
+            draw_shared_disturbance(specs, substream(31, "k"),
+                                    list(np.empty((2, 4, 7))))
 
 
 class TestTransmit:

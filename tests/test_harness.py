@@ -854,23 +854,28 @@ class TestEmitters:
         assert "semilogy" in text
 
 
-def poison_noise(monkeypatch, models, *at):
-    """NaN noise for the draws at each (step, model) of ``at`` in a lockstep
-    of ``models`` models: each step draws once per model, in model order.
-    Returns the Eb/N0 of each poisoned draw's channel, in draw order."""
-    real = channels.draw_disturbance
-    poisoned_at = {(step - 1) * models + model for step, model in at}
-    calls, poisoned_dbs = [], []
+def poison_noise(monkeypatch, *at):
+    """NaN noise for the model at each (step, model) of ``at`` in a lockstep,
+    written over that model's noise row after its seed's shared draw.
+    Returns the Eb/N0 of each poisoned model's channel, in draw order."""
+    real = channels.draw_shared_disturbance
+    poisoned_at = set(at)
+    step, poisoned_dbs = [0], []
 
-    def poisoned(spec, shape, rng):
-        noise, fade = real(spec, shape, rng)
-        if len(calls) in poisoned_at:
-            noise = noise * np.nan
-            poisoned_dbs.append(spec.ebn0_db)
-        calls.append(1)
-        return noise, fade
+    def poisoned(specs, rng, out):
+        fades = real(specs, rng, out)
+        # each output is one model's row of the lockstep's noise array
+        models = [(row.ctypes.data - row.base.ctypes.data) // row.nbytes
+                  for row in out]
+        if models[0] == 0:  # model 0's seed draws first in every step
+            step[0] += 1
+        for spec, row, model in zip(specs, out, models):
+            if (step[0], model) in poisoned_at:
+                row *= np.nan
+                poisoned_dbs.append(spec.ebn0_db)
+        return fades
 
-    monkeypatch.setattr(channels, "draw_disturbance", poisoned)
+    monkeypatch.setattr(channels, "draw_shared_disturbance", poisoned)
     return poisoned_dbs
 
 
@@ -903,6 +908,33 @@ class TestLockstep:
         assert params.flat.tobytes() == alone.flat.tobytes()
         assert history.losses == alone_history.losses
 
+    def test_one_seed_shares_messages_and_normals_across_train_points(
+            self, monkeypatch):
+        # both models of seed 3 see one message draw and one standard-normal
+        # draw per step, each scaled by its own model's sigma
+        config = reduced_config(steps=3)
+        real = nn.loss_and_gradients_given
+        seen = []
+
+        def capture(params, messages, noise, fade, work):
+            seen.append((messages.copy(), noise.copy()))
+            return real(params, messages, noise, fade, work)
+
+        monkeypatch.setattr(nn, "loss_and_gradients_given", capture)
+        dbs = (0.0, 7.0)
+        harness.train_autoencoder(config, dbs, (3, 3))
+        msg_rng = substream(3, "train")
+        noise_rng = substream(3, "channel", "train")
+        assert len(seen) == config.steps
+        for messages, noise in seen:
+            want = msg_rng.integers(0, config.message_count, config.batch_size)
+            normals = noise_rng.standard_normal(
+                (config.batch_size, config.channel_uses))
+            for k, db in enumerate(dbs):
+                sigma = np.sqrt(config.channel_spec(db).sigma2)
+                assert np.array_equal(messages[k], want)
+                assert noise[k].tobytes() == (normals * sigma).tobytes()
+
     def test_train_points_must_match_seeds(self):
         with pytest.raises(ConfigurationError,
                            match=r"^2 train Eb/N0 values for 3 seeds$"):
@@ -910,7 +942,7 @@ class TestLockstep:
                                       (0, 1, 2))
 
     def test_lockstep_failure_names_point_seed_and_step(self, monkeypatch):
-        poison_noise(monkeypatch, 3, (3, 1))
+        poison_noise(monkeypatch, (3, 1))
         with pytest.raises(DivergenceError,
                            match=r"^training at 7 dB, seed 1: non-finite "
                                  r"loss \(at step 3\)$") as info:
@@ -927,7 +959,7 @@ class TestLockstep:
     ], ids=["one-failure", "earliest-of-two"])
     def test_mixed_lockstep_failure_names_its_own_point(
             self, monkeypatch, at, named, step, model, dbs):
-        poisoned = poison_noise(monkeypatch, 6, *at)
+        poisoned = poison_noise(monkeypatch, *at)
         with pytest.raises(DivergenceError,
                            match=rf"^training at {named}: non-finite "
                                  rf"loss \(at step {step}\)$") as info:

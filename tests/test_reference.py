@@ -29,11 +29,11 @@ REDUCED = dict(steps=300, train_ebn0_db=(0.0, 7.0), test_ebn0_start=0.0,
 # (command and flags, output file) -> sha256 on the reduced config
 REDUCED_DIGESTS = {
     (("sweep",), "sweep.csv"):
-        "278dd94522747bb9da73856916cca09afc53ecc7219f96e9670706fe6df95dbd",
+        "944771c2209d89ada65b16511898ed7c23cba43bfb15eaa3f0b2564e18c4e384",
     (("baseline",), "baseline.csv"):
         "be71b83e0728efa2c1c641dfc892c0d0e7d826d17b7af4cfb9484fa1f5e0bf40",
     (("robustness", "--train-db", "7"), "robustness.csv"):
-        "e64d88c37a784f7631fefc6ed63b0702a133af1b6e49db0af7c2cd1d40f3191b",
+        "0957f25abe7f26367f51c6617878fbe4976f569d98411ee220d495fada6b7e1a",
     (("overlap", "--train-db", "7"), "overlap.csv"):
         "61797b9795636e2e3a532530f2f7bdc4e44b71da032c32d3931d145abed660d8",
 }
