@@ -123,9 +123,9 @@ def draw_disturbance(spec: ChannelSpec, shape, rng: np.random.Generator):
 def draw_shared_disturbance(specs, rng: np.random.Generator, out):
     """One disturbance draw shared by several specs of one kind.
 
-    ``out`` holds one array per spec, each of the codeword-batch shape.  The
-    standard normals are drawn once, then the rayleigh fades, and spec k's
-    noise is written into ``out[k]``: exactly the noise that
+    ``out`` has one row of the codeword-batch shape per spec.  The standard
+    normals are drawn once, then the rayleigh fades, and spec k's noise is
+    written into ``out[k]``: exactly the noise that
     ``draw_disturbance(specs[k], shape, rng)`` gives on a clone of ``rng``.
     Returns the fades, shared by every spec, or None off the rayleigh kind.
     """

@@ -45,6 +45,9 @@ def wilson_interval(errors: int, blocks: int):
     """Wilson score interval for a binomial proportion."""
     if blocks < 1:
         raise ValueError("wilson interval needs at least one trial")
+    if not 0 <= errors <= blocks:
+        raise ValueError(f"wilson interval needs 0 <= errors <= blocks, got "
+                         f"{errors} errors in {blocks} blocks")
     p = errors / blocks
     z2 = _Z95 * _Z95
     denom = 1.0 + z2 / blocks
@@ -205,59 +208,55 @@ def train_autoencoder(config: ExperimentConfig, train_ebn0_db, seed):
     "channel", "train")``; the train Eb/N0 only shapes the normals into
     the noise.
 
-    ``seed`` may also be a tuple of seeds: their models then train in
-    lockstep on a leading model axis and one pair per seed comes back.
-    ``train_ebn0_db`` may then be a tuple as long as ``seed``: model k
-    trains at ``train_ebn0_db[k]`` with ``seed[k]``.  The models of one
-    seed share one draw per step, each shaping it by its own channel spec,
-    so every model is bit-identical to training it alone.  Each step
-    writes the messages and noise straight into rows of arrays kept in one
-    ``nn.Workspace``.  A numerical failure stops every model; it names the
-    failing model's train Eb/N0 and seed (every model's when unknown) and
-    the step.
+    Either argument may be a tuple, and then the grid they span trains in
+    lockstep on a leading model axis and comes back as a tuple of pairs,
+    model k at ``dbs[k // len(seeds)]`` with ``seeds[k % len(seeds)]``.
+    The models of one seed, every ``len(seeds)``-th row of the step's
+    arrays in one ``nn.Workspace``, share one draw per step, each shaping
+    it by its own channel spec, so every model is bit-identical to
+    training it alone.  A numerical failure stops every model; it names
+    the failing model's train Eb/N0 and seed (every model's when unknown)
+    and the step.
     """
-    seeds = seed if isinstance(seed, tuple) else (seed,)
     dbs = (train_ebn0_db if isinstance(train_ebn0_db, tuple)
-           else (train_ebn0_db,) * len(seeds))
-    if len(dbs) != len(seeds):
-        raise ConfigurationError(f"{len(dbs)} train Eb/N0 values for "
-                                 f"{len(seeds)} seeds")
+           else (train_ebn0_db,))
+    seeds = seed if isinstance(seed, tuple) else (seed,)
+    for name, values in (("train_ebn0_db", dbs), ("seed", seeds)):
+        if not values:
+            raise ConfigurationError(f"{name}: needs at least one value, "
+                                     f"got ()", key=name)
     layout = nn.NetworkLayout(config.message_count, config.channel_uses,
                               config.decoder_hidden)
 
     def failure(kind, text, step, k):
-        named = range(len(seeds)) if k is None else (k,)
-        at = dict.fromkeys(f"{dbs[i]:g}" for i in named)
-        by = dict.fromkeys(str(seeds[i]) for i in named)
-        return kind(f"training at {', '.join(at)} dB, seed {', '.join(by)}: "
-                    f"{text}", step=step, model=k)
+        at, by = ((dbs, seeds) if k is None else
+                  ((dbs[k // len(seeds)],), (seeds[k % len(seeds)],)))
+        return kind(f"training at {', '.join(f'{db:g}' for db in at)} dB, "
+                    f"seed {', '.join(map(str, by))}: {text}",
+                    step=step, model=k)
 
     params = nn.ModelParams(layout, np.stack(
-        [nn.init_params(layout, s).flat for s in seeds]))
+        [nn.init_params(layout, s).flat for _ in dbs for s in seeds]))
     state = nn.AdamState.for_params(
         params, config.learning_rate, config.beta1, config.beta2,
         config.epsilon)
-    histories = [TrainingHistory() for _ in seeds]
+    histories = [TrainingHistory() for _ in dbs for _ in seeds]
     work = nn.Workspace()
-    messages = work.array("messages", (len(seeds), config.batch_size),
+    messages = work.array("messages", (len(histories), config.batch_size),
                           np.int64)
     noise = work.array("noise", messages.shape + (config.channel_uses,))
     fade = (work.array("fade", messages.shape)
             if config.channel_kind == "rayleigh" else None)
-    # per distinct seed: its models' rows, channel specs and noise rows, and
-    # its message and channel substreams
-    draws = []
-    for s in dict.fromkeys(seeds):
-        rows = [k for k in range(len(seeds)) if seeds[k] == s]
-        draws.append((rows, [config.channel_spec(dbs[k]) for k in rows],
-                      [noise[k] for k in rows], substream(s, "train"),
-                      substream(s, "channel", "train")))
+    specs = [config.channel_spec(db) for db in dbs]
+    # per seed: its models' rows and its message and channel substreams
+    draws = [(slice(i, None, len(seeds)), substream(s, "train"),
+              substream(s, "channel", "train")) for i, s in enumerate(seeds)]
     for step in range(1, config.steps + 1):
-        for rows, row_specs, row_noise, msg_rng, noise_rng in draws:
+        for rows, msg_rng, noise_rng in draws:
             messages[rows] = msg_rng.integers(0, config.message_count,
                                               config.batch_size)
-            fades = channels.draw_shared_disturbance(row_specs, noise_rng,
-                                                     row_noise)
+            fades = channels.draw_shared_disturbance(specs, noise_rng,
+                                                     noise[rows])
             if fade is not None:
                 fade[rows] = fades
         try:
@@ -275,7 +274,8 @@ def train_autoencoder(config: ExperimentConfig, train_ebn0_db, seed):
                 history.record(step, loss)
     pairs = [(nn.ModelParams(layout, flat), history)
              for flat, history in zip(params.flat, histories)]
-    return tuple(pairs) if isinstance(seed, tuple) else pairs[0]
+    grid = isinstance(train_ebn0_db, tuple) or isinstance(seed, tuple)
+    return tuple(pairs) if grid else pairs[0]
 
 
 # -- sweep --------------------------------------------------------------------
@@ -331,9 +331,7 @@ def _autoencoder_curves(config: ExperimentConfig, train_dbs, workers,
     seeds = tuple(config.seeds)
     say(f"training autoencoders at {', '.join(f'{db:g}' for db in train_dbs)}"
         f" dB, seeds {', '.join(map(str, seeds))}")
-    trained = train_autoencoder(
-        config, tuple(db for db in train_dbs for _ in seeds),
-        seeds * len(train_dbs))
+    trained = train_autoencoder(config, train_dbs, seeds)
     curves = []
     for i, train_db in enumerate(train_dbs):
         point = trained[i * len(seeds):(i + 1) * len(seeds)]

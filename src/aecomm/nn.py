@@ -153,13 +153,14 @@ def _forward_stack(layers, inputs):
 
 
 class Workspace:
-    """Arrays that the steps of a training run reuse, one per name: every
-    array of shape (models, width or n, batch), that is the step's messages,
-    noise and fades, the one-hot, each decoder layer's output and both
-    backward ``W @ g`` products.  No step then allocates a batch-sized
-    temporary.  With 15 models each is up to half a megabyte, above the
-    allocator's mmap threshold, so allocating them per step mapped, faulted
-    in and unmapped about a megabyte every step."""
+    """Arrays that the steps of a training run reuse, one per name: the
+    step's messages and fades, of shape (models, batch), its noise, (models,
+    batch, n), and the one-hot, the received words, each decoder layer's
+    output and both backward ``W @ g`` products, each (models, m, n or width,
+    batch).  No step then allocates a batch-sized temporary.  With 15 models
+    each is up to half a megabyte, above the allocator's mmap threshold, so
+    allocating them per step mapped, faulted in and unmapped about a
+    megabyte every step."""
 
     def __init__(self):
         self._arrays = {}

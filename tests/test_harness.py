@@ -77,6 +77,12 @@ class TestWilson:
         assert low == 0.0
         assert 0 < high < 0.01
 
+    @pytest.mark.parametrize("errors, blocks", [(5, 3), (-1, 10)])
+    def test_errors_outside_blocks_are_rejected(self, errors, blocks):
+        with pytest.raises(ValueError,
+                           match=rf"got {errors} errors in {blocks} blocks$"):
+            harness.wilson_interval(errors, blocks)
+
     def test_all_errors_upper_bound_one(self):
         low, high = harness.wilson_interval(300, 300)
         assert high == 1.0
@@ -597,7 +603,7 @@ class TestSubstreamKeys:
         # one lockstep trains every (train Eb/N0, seed), bit-identical to
         # training each alone
         [(dbs, seeds, pairs)] = trained
-        assert list(zip(dbs, seeds)) == list(alone)
+        assert (dbs, seeds) == ((7.0, 0.0), (3, 1))
         for key, (params, _) in zip(alone, pairs):
             assert params.flat.tobytes() == alone[key].flat.tobytes()
         assert [c.label for c in ae] == ["ae-train+7dB", "ae-train+0dB"]
@@ -715,7 +721,7 @@ class TestWidthSweep:
                 curve.seed_count) == ("autoencoder", "ae-width16", 7.0, 2)
         assert curve.points == sweep[0].points
         [(dbs, seeds, pairs)] = trained
-        assert (dbs, seeds) == ((7.0, 7.0), (0, 1))
+        assert (dbs, seeds) == ((7.0,), (0, 1))
         for (params, _), lone in zip(pairs, alone):
             assert params.flat.tobytes() == lone.flat.tobytes()
 
@@ -880,8 +886,8 @@ def poison_noise(monkeypatch, *at):
 
 
 class TestLockstep:
-    """Models train together on a leading model axis, each at its own train
-    Eb/N0 and seed and bit-identical to training alone."""
+    """The models of a (train Eb/N0 x seed) grid train together on a leading
+    model axis, each bit-identical to training alone."""
 
     @pytest.mark.parametrize("overrides", [
         {},
@@ -891,9 +897,9 @@ class TestLockstep:
     ], ids=["awgn", "correlated_awgn", "rayleigh", "hidden12"])
     def test_lockstep_equals_training_alone(self, overrides):
         config = reduced_config(steps=120, loss_log_interval=20, **overrides)
+        together = harness.train_autoencoder(config, (-4.0, 0.0, 7.0),
+                                             (0, 1, 2))
         points = [(db, seed) for db in (-4.0, 0.0, 7.0) for seed in (0, 1, 2)]
-        dbs, seeds = zip(*points)
-        together = harness.train_autoencoder(config, dbs, seeds)
         assert len(together) == len(points)
         for (db, seed), (params, history) in zip(points, together):
             alone, alone_history = harness.train_autoencoder(config, db, seed)
@@ -907,6 +913,15 @@ class TestLockstep:
         alone, alone_history = harness.train_autoencoder(config, 7.0, 4)
         assert params.flat.tobytes() == alone.flat.tobytes()
         assert history.losses == alone_history.losses
+
+    def test_train_points_with_one_seed_are_their_lone_runs(self):
+        config = reduced_config(steps=80, loss_log_interval=20)
+        together = harness.train_autoencoder(config, (0.0, 7.0), 4)
+        assert len(together) == 2
+        for db, (params, history) in zip((0.0, 7.0), together):
+            alone, alone_history = harness.train_autoencoder(config, db, 4)
+            assert params.flat.tobytes() == alone.flat.tobytes()
+            assert history.losses == alone_history.losses
 
     def test_one_seed_shares_messages_and_normals_across_train_points(
             self, monkeypatch):
@@ -922,7 +937,7 @@ class TestLockstep:
 
         monkeypatch.setattr(nn, "loss_and_gradients_given", capture)
         dbs = (0.0, 7.0)
-        harness.train_autoencoder(config, dbs, (3, 3))
+        harness.train_autoencoder(config, dbs, 3)
         msg_rng = substream(3, "train")
         noise_rng = substream(3, "channel", "train")
         assert len(seen) == config.steps
@@ -935,11 +950,15 @@ class TestLockstep:
                 assert np.array_equal(messages[k], want)
                 assert noise[k].tobytes() == (normals * sigma).tobytes()
 
-    def test_train_points_must_match_seeds(self):
+    @pytest.mark.parametrize("dbs, seeds, name", [
+        ((), (0, 1), "train_ebn0_db"),
+        (7.0, (), "seed"),
+    ], ids=["no-train-points", "no-seeds"])
+    def test_empty_grid_axis_is_named(self, dbs, seeds, name):
         with pytest.raises(ConfigurationError,
-                           match=r"^2 train Eb/N0 values for 3 seeds$"):
-            harness.train_autoencoder(reduced_config(steps=1), (0.0, 7.0),
-                                      (0, 1, 2))
+                           match=rf"^{name}: needs at least one value") as info:
+            harness.train_autoencoder(reduced_config(steps=1), dbs, seeds)
+        assert info.value.key == name
 
     def test_lockstep_failure_names_point_seed_and_step(self, monkeypatch):
         poison_noise(monkeypatch, (3, 1))
