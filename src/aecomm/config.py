@@ -102,10 +102,11 @@ class ExperimentConfig:
                 f"must be one of {CHANNEL_KINDS}")
         require(0 < self.rate <= 1, "rate", f"must be in (0, 1], got {self.rate}")
         require(0.0 <= self.rho < 1.0, "rho", f"must be in [0, 1), got {self.rho}")
-        require(self.learning_rate > 0, "learning_rate", "must be positive")
+        require(0 < self.learning_rate < np.inf, "learning_rate",
+                "must be positive and finite")
         require(0 < self.beta1 < 1, "beta1", "must be in (0, 1)")
         require(0 < self.beta2 < 1, "beta2", "must be in (0, 1)")
-        require(self.epsilon > 0, "epsilon", "must be positive")
+        require(0 < self.epsilon < np.inf, "epsilon", "must be positive and finite")
         require(self.batch_size >= 1, "batch_size", "must be >= 1")
         require(self.steps >= 0, "steps", "must be >= 0")
         require(self.loss_log_interval >= 1, "loss_log_interval", "must be >= 1")

@@ -3,9 +3,10 @@
 The transmitter embeds a message index as a one-hot vector, runs it through
 two dense layers, and energy-normalizes the output so every codeword
 satisfies ||x||^2 = n exactly.  The receiver runs the noisy observation
-through two dense layers and a softmax over all messages.  Backpropagation
-treats the channel as a pass-through (additive noise; the rayleigh fade
-scales the gradient) and differentiates the normalization as a projection.
+through two dense layers and a softmax over all messages.  The four layers
+are written out, forward and backward.  Backpropagation treats the channel
+as a pass-through (additive noise; the rayleigh fade scales the gradient)
+and differentiates the normalization as a projection.
 
 Everything is float64 and deterministic given a seed.
 """
@@ -135,32 +136,15 @@ def init_params(layout: NetworkLayout, seed: int) -> ModelParams:
     return params
 
 
-def _forward_stack(layers, inputs):
-    """Returns (output, cache), the cache holding each layer's input and
-    output for backprop.  ReLU runs in place: its output is positive exactly
-    where its input is, so backprop's mask can read it.  On a model stack
-    the output gains the leading model axis."""
-    a = inputs
-    cache = []
-    for layer in layers:
-        out = a @ layer.weight
-        out += layer.bias if layer.bias.ndim == 1 else layer.bias[:, None]
-        if layer.activation == "relu":
-            np.maximum(out, 0.0, out=out)
-        cache.append((a, out))
-        a = out
-    return a, cache
-
-
 class Workspace:
     """Arrays that the steps of a training run reuse, one per name: the
     step's messages and fades, of shape (models, batch), its noise, (models,
-    batch, n), and the one-hot, the received words, each decoder layer's
-    output and both backward ``W @ g`` products, each (models, m, n or width,
-    batch).  No step then allocates a batch-sized temporary.  With 15 models
-    each is up to half a megabyte, above the allocator's mmap threshold, so
-    allocating them per step mapped, faulted in and unmapped about a
-    megabyte every step."""
+    batch, n), and ``onehot``, the received words ``y``, the decoder's
+    ``hidden`` and ``logits`` and the gradients ``dhidden`` and ``dy``, each
+    (models, m, n or width, batch).  No step then allocates a batch-sized
+    temporary.  With 15 models each is up to half a megabyte, above the
+    allocator's mmap threshold, so allocating them per step mapped, faulted
+    in and unmapped about a megabyte every step."""
 
     def __init__(self):
         self._arrays = {}
@@ -174,44 +158,6 @@ class Workspace:
         return a
 
 
-def _forward_columns(layers, inputs, work):
-    """_forward_stack on (models, width, batch) arrays kept in ``work``.  The
-    batch runs along each row, so a per-sample reduction is an elementwise
-    pass over a few contiguous rows instead of a short reduction per
-    sample."""
-    a = inputs
-    cache = []
-    for i, layer in enumerate(layers):
-        shape = a.shape[:-2] + (layer.weight.shape[-1], a.shape[-1])
-        out = np.matmul(layer.weight.mT, a, out=work.array(f"layer{i}", shape))
-        out += layer.bias[..., None]
-        if layer.activation == "relu":
-            np.maximum(out, 0.0, out=out)
-        cache.append((a, out))
-        a = out
-    return a, cache
-
-
-def _backward_columns(layers, cache, grad_out, grad_layers, work=None):
-    """Backprop through a dense stack on (models, width, batch) arrays,
-    writing each layer's (dW, db) into the arrays of ``grad_layers``.  A
-    ReLU layer's mask multiplies the incoming gradient in place.  Returns
-    the input gradient, kept in ``work``; without ``work`` (the encoder,
-    whose input is the identity) it returns None and skips that product."""
-    g = grad_out
-    for i in range(len(layers) - 1, -1, -1):
-        a_in, out = cache[i]
-        if layers[i].activation == "relu":
-            g *= out > 0.0
-        np.matmul(a_in, g.mT, out=grad_layers[i].weight)
-        g.sum(axis=-1, out=grad_layers[i].bias)
-        if i == 0 and work is None:
-            return None
-        g = np.matmul(layers[i].weight, g, out=None if work is None
-                      else work.array(f"grad{i}", a_in.shape))
-    return g
-
-
 def _normalize_energy(z, n):
     # the sum np.linalg.norm computes, without its per-call checks
     norms = np.sqrt((z * z).sum(axis=-1, keepdims=True))
@@ -221,13 +167,6 @@ def _normalize_energy(z, n):
             "encoder output has (near-)zero norm; cannot energy-normalize",
             model=int(np.argmax(degenerate)))
     return np.sqrt(n) * z / norms, norms
-
-
-@lru_cache
-def _identity(m):
-    eye = np.eye(m)
-    eye.flags.writeable = False
-    return eye
 
 
 @lru_cache(maxsize=4)
@@ -241,10 +180,16 @@ def _sample_offsets(models, m, batch):
 
 
 def _encoder_forward(params: ModelParams):
-    """The encoder on the M-row identity: (codebook, z, norms, cache)."""
-    z, cache = _forward_stack(params.encoder, _identity(params.message_count))
+    """The encoder on the M-row identity, whose product with W1 is W1:
+    (codebook, z, norms, hidden).  ReLU runs in place; its output is positive
+    exactly where its input is, so the backward mask can read it."""
+    (w1, b1, _), (w2, b2, _) = params.encoder
+    hidden = w1 + b1[..., None, :]
+    np.maximum(hidden, 0.0, out=hidden)
+    z = hidden @ w2
+    z += b2[..., None, :]
     x, norms = _normalize_energy(z, params.channel_uses)
-    return x, z, norms, cache
+    return x, z, norms, hidden
 
 
 def codebook(params: ModelParams) -> np.ndarray:
@@ -262,7 +207,16 @@ def predict(params: ModelParams, received) -> np.ndarray:
         )
     if not np.all(np.isfinite(received)):
         raise ValueError("decode input must be finite")
-    logits, _ = _forward_stack(params.decoder, received)
+    if received.ndim == 1:
+        return np.take(predict(params, received[None]), 0, axis=-1)
+    # [..., None, :] lines a stack's (models, width) bias up with its
+    # (models, rows, width) layer output
+    (w3, b3, _), (w4, b4, _) = params.decoder
+    hidden = received @ w3
+    hidden += b3[..., None, :]
+    np.maximum(hidden, 0.0, out=hidden)
+    logits = hidden @ w4
+    logits += b4[..., None, :]
     return np.argmax(logits, axis=-1)
 
 
@@ -309,7 +263,9 @@ def _loss_core(params, messages, noise, fade, want_grads, work):
     """One model runs as a stack of one.  The encoder runs once per model on
     the M-row identity, as in codebook(), and a one-hot product gathers the
     batch's codewords exactly.  The decoder, softmax and backprop run on
-    (models, width, batch) arrays, and the codeword gradient is summed per
+    (models, width, batch) arrays, so a per-sample reduction is an
+    elementwise pass over a few contiguous rows; ReLU runs in place and the
+    backward mask reads its output.  The codeword gradient is summed per
     message before it enters the normalization and the encoder, so those see
     M rows, not the batch."""
     if params.flat.ndim == 1:
@@ -330,12 +286,18 @@ def _loss_core(params, messages, noise, fade, want_grads, work):
     onehot.fill(0.0)
     onehot.ravel()[picks] = 1.0
 
-    cb, z, norms, enc_cache = _encoder_forward(params)
+    cb, z, norms, enc_hidden = _encoder_forward(params)
     y = np.matmul(cb.mT, onehot, out=work.array("y", (models, n, batch)))
     if fade is not None:
         y *= fade[:, None, :]
     y += noise.mT
-    logits, dec_cache = _forward_columns(params.decoder, y, work)
+    (w3, b3, _), (w4, b4, _) = params.decoder
+    hidden = np.matmul(w3.mT, y, out=work.array(
+        "hidden", (models, w3.shape[-1], batch)))
+    hidden += b3[..., None]
+    np.maximum(hidden, 0.0, out=hidden)
+    logits = np.matmul(w4.mT, hidden, out=work.array("logits", (models, m, batch)))
+    logits += b4[..., None]
     # the softmax overwrites the logits: the top layer is linear, so its
     # backward reads only its input
     probs = logits
@@ -354,17 +316,29 @@ def _loss_core(params, messages, noise, fade, want_grads, work):
     dlogits = probs  # in place: the loss no longer needs probs
     dlogits -= onehot
     dlogits /= batch
-    dy = _backward_columns(params.decoder, dec_cache, dlogits, grads.decoder,
-                           work)
+    (dw3, db3, _), (dw4, db4, _) = grads.decoder
+    np.matmul(hidden, dlogits.mT, out=dw4)
+    dlogits.sum(axis=-1, out=db4)
+    dhidden = np.matmul(w4, dlogits, out=work.array("dhidden", hidden.shape))
+    dhidden *= hidden > 0.0
+    np.matmul(y, dhidden.mT, out=dw3)
+    dhidden.sum(axis=-1, out=db3)
+    dy = np.matmul(w3, dhidden, out=work.array("dy", y.shape))
     if fade is not None:
         dy *= fade[:, None, :]
     dx = onehot @ dy.mT
     # Energy normalization x = sqrt(n) z / ||z||: project out the radial part.
     radial = (z * dx).sum(axis=-1, keepdims=True)
     dz = np.sqrt(n) / norms * (dx - z * radial / norms**2)
-    _backward_columns(params.encoder,
-                      [(a.mT, out.mT) for a, out in enc_cache], dz.mT,
-                      grads.encoder)
+    # the transposed views fix each sum's order, and so the trained bits;
+    # the input is the identity, so dW1 is the hidden-layer gradient itself
+    (dw1, db1, _), (dw2, db2, _) = grads.encoder
+    np.matmul(enc_hidden.mT, dz, out=dw2)
+    dz.mT.sum(axis=-1, out=db2)
+    g = params.encoder[1].weight @ dz.mT
+    g *= enc_hidden.mT > 0.0
+    dw1[...] = g.mT
+    g.sum(axis=-1, out=db1)
     return losses, grads
 
 

@@ -262,6 +262,10 @@ INVALID_FILES = [
     ("[sweep]\ntest_ebn0_start = -inf\n", 2,
      r"test_ebn0_start: must be finite"),
     ("[sweep]\ntest_ebn0_step = inf\n", 2, r"test_ebn0_step: must be finite"),
+    # an infinite step size or epsilon would fail only at training start
+    ("[training]\nlearning_rate = inf\n", 2,
+     r"learning_rate: must be positive and finite"),
+    ("[training]\nepsilon = inf\n", 2, r"epsilon: must be positive and finite"),
     # 1.2e301 points overflow numpy's arange; 1.2e7 would run for days
     ("[sweep]\ntest_ebn0_step = 1e-300\n", 2,
      r"test_ebn0_step: gives more than 10000 test points"),
@@ -277,8 +281,8 @@ INVALID_FILES = [
 ]
 INVALID_IDS = ["repeated-seeds", "seed-2**64", "negative-seed",
                "rho-out-of-range", "stop-inf", "start-inf",
-               "step-inf", "step-1e-300", "step-1e-6", "train-key-clash",
-               "grid-key-clash"]
+               "step-inf", "learning-rate-inf", "epsilon-inf", "step-1e-300",
+               "step-1e-6", "train-key-clash", "grid-key-clash"]
 
 
 class TestValidationNamesLine:

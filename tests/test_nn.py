@@ -665,6 +665,27 @@ class TestModelStack:
             assert nn.loss_given_disturbance(
                 stack(models), messages, noise, fade)[k] == loss
 
+    @pytest.mark.parametrize("rows", [3, 5])
+    def test_stacked_predict_and_codebook_equal_per_model_calls(self, rows):
+        # non-zero biases: a bias added along the wrong axis of a stack
+        # shows only then; 3 rows equal the model count, so such a bias
+        # would still broadcast
+        models = [nn.init_params(nn.NetworkLayout(), seed) for seed in (0, 1, 2)]
+        rng = substream(rows, "stack-bias")
+        for params in models:
+            for layer in params.encoder + params.decoder:
+                layer.bias[...] = rng.standard_normal(layer.bias.shape)
+        stacked = stack(models)
+        received = rng.standard_normal((rows, 7))
+        labels = nn.predict(stacked, received)
+        codebooks = nn.codebook(stacked)
+        assert labels.shape == (3, rows) and codebooks.shape == (3, 16, 7)
+        for k, params in enumerate(models):
+            assert np.array_equal(labels[k], nn.predict(params, received))
+            assert np.array_equal(codebooks[k], nn.codebook(params))
+            assert nn.predict(stacked, received[0])[k] == nn.predict(
+                params, received[0])
+
     def test_stacked_adam_equals_per_model_steps(self):
         models, batches = self.stacked_inputs(nn.NetworkLayout(), False)
         stacked = stack(models)
