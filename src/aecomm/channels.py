@@ -8,6 +8,7 @@ average energy per channel use, the per-dimension noise variance is
 so the received vector is y ~ N(x, sigma^2 I) on the plain AWGN channel.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -25,14 +26,22 @@ def noise_variance(ebn0_db: float, rate: float) -> float:
     """Per-dimension noise variance for a given Eb/N0 (dB) and code rate.
 
     ``ebn0_db = +inf`` is the documented zero-noise sentinel and yields 0.
+    Any other value must give a positive, finite variance (none beyond about
+    +-3,080 dB at rate 4/7 does); Python floats keep a NumPy value's bits.
     """
     if not rate > 0.0:
         raise ConfigurationError(f"rate must be positive, got {rate}")
-    if np.isnan(ebn0_db) or ebn0_db == -np.inf:
-        raise ConfigurationError(f"ebn0_db must be finite or +inf, got {ebn0_db}")
-    if ebn0_db == np.inf:
+    ebn0_db, rate = float(ebn0_db), float(rate)
+    if ebn0_db == math.inf:
         return 0.0
-    return 1.0 / (2.0 * float(rate) * 10.0 ** (ebn0_db / 10.0))
+    try:
+        sigma2 = 1.0 / (2.0 * rate * 10.0 ** (ebn0_db / 10.0))
+    except ArithmeticError:  # 10^(dB/10) overflows, or underflows to 0
+        sigma2 = 0.0
+    if not 0.0 < sigma2 < math.inf:  # also NaN and -inf
+        raise ConfigurationError(f"Eb/N0 {ebn0_db:g} dB gives no positive, "
+                                 f"finite noise variance at rate {rate:g}")
+    return sigma2
 
 
 @dataclass(frozen=True)
@@ -57,10 +66,7 @@ class ChannelSpec:
             raise ConfigurationError(f"rate must be in (0, 1], got {self.rate}")
         if not 0.0 <= self.rho < 1.0:
             raise ConfigurationError(f"rho must be in [0, 1), got {self.rho}")
-        if np.isnan(self.ebn0_db) or self.ebn0_db == -np.inf:
-            raise ConfigurationError(
-                f"ebn0_db must be finite or +inf, got {self.ebn0_db}"
-            )
+        self.sigma2  # computed on construction, so a bad Eb/N0 fails here
 
     @cached_property
     def sigma2(self) -> float:

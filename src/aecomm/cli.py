@@ -63,7 +63,7 @@ def _atomic_write(path, data: bytes):
         raise
 
 
-def _parse_db_list(text):
+def _parse_db_list(text, config):
     try:
         values = tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
@@ -71,16 +71,19 @@ def _parse_db_list(text):
     if not values or not all(map(math.isfinite, values)):
         raise ConfigurationError(
             f"--test-db: expected a list of finite dB values, got {text!r}")
+    config.check_ebn0("--test-db", values)
     return values
 
 
-def _train_db(args, zero_noise=True) -> float:
+def _train_db(args, config, zero_noise=True) -> float:
     """``--train-db``, finite or, where training takes it, +inf for zero
-    noise; anything else is an error that names the flag."""
+    noise, with a noise variance on the configured channel; anything else
+    is an error that names the flag."""
     db = args.train_db
     if not (math.isfinite(db) or (zero_noise and db == math.inf)):
         wanted = "a finite dB value" + (" or inf" if zero_noise else "")
         raise ConfigurationError(f"--train-db: expected {wanted}, got {db}")
+    config.check_ebn0("--train-db", (db,))
     return db
 
 
@@ -96,8 +99,8 @@ def _worker_count(text):
 # its exit code and writes nothing.
 
 def _cmd_overlap(args, config, say):
-    train_db = _train_db(args, zero_noise=False)
-    tests = _parse_db_list(args.test_db)
+    train_db = _train_db(args, config, zero_noise=False)
+    tests = _parse_db_list(args.test_db, config)
     rows = harness.overlap_table(train_db, tests, config.rate)
     for row in rows:
         say(f"test {row.test_ebn0_db:+g} dB: overlap "
@@ -112,7 +115,7 @@ def _cmd_sweep(args, config, say):
 
 
 def _cmd_train(args, config, say):
-    train_db = _train_db(args)
+    train_db = _train_db(args, config)
     seed = config.seeds[0]
     say(f"training at {train_db:g} dB, seed {seed}")
     params, history = harness.train_autoencoder(config, train_db, seed)
@@ -140,7 +143,7 @@ def _cmd_gradcheck(args, config, say):
 
 
 def _cmd_robustness(args, config, say):
-    train_db = _train_db(args)
+    train_db = _train_db(args, config)
     seed = config.seeds[0]
     say(f"training reference model on {config.channel_kind} at "
         f"{train_db:g} dB, seed {seed}")

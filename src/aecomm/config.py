@@ -121,6 +121,10 @@ class ExperimentConfig:
         require(not shared, "train_ebn0_db", f"entries {shared}")
         for key in ("test_ebn0_start", "test_ebn0_stop", "test_ebn0_step"):
             require(np.isfinite(getattr(self, key)), key, "must be finite")
+        # sigma^2 is monotone in Eb/N0, so the grid's ends stand for the grid
+        self.check_ebn0("train_ebn0_db", self.train_ebn0_db)
+        self.check_ebn0("test_ebn0_start", (self.test_ebn0_start,))
+        self.check_ebn0("test_ebn0_stop", (self.test_ebn0_stop,))
         require(self.test_ebn0_step > 0, "test_ebn0_step", "must be positive")
         require(self.test_ebn0_start <= self.test_ebn0_stop, "test_ebn0_start",
                 "must not exceed test_ebn0_stop")
@@ -167,6 +171,15 @@ class ExperimentConfig:
 
     def channel_spec(self, ebn0_db: float) -> ChannelSpec:
         return ChannelSpec(self.channel_kind, ebn0_db, float(self.rate), self.rho)
+
+    def check_ebn0(self, name: str, points):
+        """Raise an error naming ``name``, a key or a flag, if an Eb/N0 in
+        ``points`` gives the configured channel no noise variance."""
+        for db in points:
+            try:
+                self.channel_spec(db)
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"{name}: {exc}", key=name) from None
 
 
 # -- file format --------------------------------------------------------------

@@ -4,16 +4,16 @@ Training at one Eb/N0 and testing at another makes the received signal
 y ~ N(x, sigma^2 I) differ only in its noise variance.  The shift between
 the two same-mean Gaussians is quantified by the overlapping coefficient
 (the shared probability mass, integral of min(p, q)) and by the KL
-divergence.  The tabulated quantity is the univariate per-dimension
-overlap; the isotropic n-dimensional variant and a Monte Carlo estimator
-are provided as labeled extensions, not the tabulated number.
+divergence.  One closed form covers any dimension d; the tabulated value is
+its per-dimension case d = 1 (chi-square with one degree of freedom), and a
+Monte Carlo estimator is the independent check on it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import channels, codecs
+from . import channels
 
 
 def chi_square_cdf(x, dof: int):
@@ -29,29 +29,13 @@ def chi_square_cdf(x, dof: int):
     return out if out.ndim else float(out)
 
 
-def _check_variances(sigma2_a, sigma2_b):
+def _check(sigma2_a, sigma2_b, dimension):
     if not (sigma2_a > 0 and sigma2_b > 0):
         raise ValueError(
             f"variances must be positive, got {sigma2_a}, {sigma2_b}"
         )
-
-
-def overlap_same_mean_1d(sigma2_a: float, sigma2_b: float) -> float:
-    """Overlapping coefficient of two zero-mean univariate Gaussians.
-
-    With sigma_a < sigma_b the densities cross at +-x*, where
-    x*^2 = ln(sigma_b^2/sigma_a^2) / (1/sigma_a^2 - 1/sigma_b^2); the shared
-    mass is the wide density inside [-x*, x*] plus the narrow density
-    outside: [2 Phi(x*/sigma_b) - 1] + 2 [1 - Phi(x*/sigma_a)].
-    """
-    _check_variances(sigma2_a, sigma2_b)
-    if sigma2_a == sigma2_b:
-        return 1.0
-    lo, hi = sorted((sigma2_a, sigma2_b))
-    x_star = np.sqrt(np.log(hi / lo) / (1.0 / lo - 1.0 / hi))
-    inner = 2.0 * codecs.q_function(-(x_star / np.sqrt(hi))) - 1.0
-    outer = 2.0 * (1.0 - codecs.q_function(-(x_star / np.sqrt(lo))))
-    return float(inner + outer)
+    if dimension < 1:
+        raise ValueError(f"dimension must be >= 1, got {dimension}")
 
 
 def overlap_same_mean_isotropic(sigma2_a: float, sigma2_b: float, dimension: int) -> float:
@@ -61,9 +45,7 @@ def overlap_same_mean_isotropic(sigma2_a: float, sigma2_b: float, dimension: int
     r*^2 = d ln(sigma_b^2/sigma_a^2) / (1/sigma_a^2 - 1/sigma_b^2) and the
     shared mass follows from the chi-square law of r^2/sigma^2.
     """
-    _check_variances(sigma2_a, sigma2_b)
-    if dimension < 1:
-        raise ValueError(f"dimension must be >= 1, got {dimension}")
+    _check(sigma2_a, sigma2_b, dimension)
     if sigma2_a == sigma2_b:
         return 1.0
     lo, hi = sorted((sigma2_a, sigma2_b))
@@ -75,9 +57,7 @@ def overlap_same_mean_isotropic(sigma2_a: float, sigma2_b: float, dimension: int
 
 def kl_same_mean(sigma2_a: float, sigma2_b: float, dimension: int = 1) -> float:
     """KL(N(0, a I_d) || N(0, b I_d)) = d/2 [a/b - 1 + ln(b/a)] in nats."""
-    _check_variances(sigma2_a, sigma2_b)
-    if dimension < 1:
-        raise ValueError(f"dimension must be >= 1, got {dimension}")
+    _check(sigma2_a, sigma2_b, dimension)
     ratio = sigma2_a / sigma2_b
     return float(0.5 * dimension * (ratio - 1.0 - np.log(ratio)))
 
@@ -102,9 +82,7 @@ def overlap_monte_carlo(
     integrand equals 2 / (1 + exp|log p - log q|), which is computed from
     log densities so extreme variance ratios stay stable.
     """
-    _check_variances(sigma2_a, sigma2_b)
-    if dimension < 1:
-        raise ValueError(f"dimension must be >= 1, got {dimension}")
+    _check(sigma2_a, sigma2_b, dimension)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     pick_a = rng.random(samples) < 0.5
@@ -141,13 +119,10 @@ def compare_received_distributions(
     dimension: int = 1,
 ) -> OverlapResult:
     """Overlap and KL between the received distributions at two operating
-    points of the same rate-R system.  ``dimension=1`` is the per-dimension
-    (tabulated) convention."""
+    points of the same rate-R system, both from the isotropic closed forms;
+    ``dimension=1`` is the per-dimension (tabulated) convention."""
     s2_train = channels.noise_variance(train_ebn0_db, rate)
     s2_test = channels.noise_variance(test_ebn0_db, rate)
-    if dimension == 1:
-        overlap = overlap_same_mean_1d(s2_train, s2_test)
-    else:
-        overlap = overlap_same_mean_isotropic(s2_train, s2_test, dimension)
+    overlap = overlap_same_mean_isotropic(s2_train, s2_test, dimension)
     kl = kl_same_mean(s2_train, s2_test, dimension)
     return OverlapResult(overlap, kl, s2_train, s2_test, dimension)

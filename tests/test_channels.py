@@ -1,3 +1,6 @@
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,8 +13,12 @@ from aecomm.channels import (
     noise_variance,
     transmit,
 )
+from aecomm.config import load_config
 from aecomm.errors import ConfigurationError
 from aecomm.rng import substream
+
+REFERENCE = load_config(
+    Path(__file__).resolve().parent.parent / "configs" / "reference.cfg")
 
 
 class TestNoiseVariance:
@@ -40,6 +47,28 @@ class TestNoiseVariance:
         with pytest.raises(ConfigurationError):
             noise_variance(0.0, 0.0)
 
+    @pytest.mark.parametrize("as_float", [float, np.float64])
+    @pytest.mark.parametrize("ebn0_db", [4000, -4000])
+    def test_no_variance_beyond_the_float_range_rejected(self, ebn0_db,
+                                                         as_float):
+        # 10^(dB/10) overflows at +4000 dB and underflows to 0 at -4000 dB
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="4000 dB gives no"):
+                noise_variance(as_float(ebn0_db), 4 / 7)
+
+    @pytest.mark.parametrize("ebn0_db", sorted(
+        {*map(float, REFERENCE.test_grid()), *REFERENCE.train_ebn0_db}))
+    def test_numpy_and_python_floats_give_the_same_float(self, ebn0_db):
+        # the reference pins were taken with NumPy test-grid points
+        rate = float(REFERENCE.rate)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            from_numpy = noise_variance(np.float64(ebn0_db), rate)
+            from_python = noise_variance(float(ebn0_db), rate)
+        assert type(from_numpy) is float and type(from_python) is float
+        assert from_numpy.hex() == from_python.hex()
+
 
 class TestChannelSpec:
     def test_defaults_valid(self):
@@ -50,14 +79,16 @@ class TestChannelSpec:
     @pytest.mark.parametrize("ebn0_db", [-3.5, 0.0, 7.0, np.inf])
     def test_sigma2_is_the_noise_variance_computed_once(self, monkeypatch,
                                                         ebn0_db):
-        spec = ChannelSpec("awgn", ebn0_db, 4 / 7)
         calls = []
 
         def counting(*args):
             calls.append(args)
             return noise_variance(*args)
 
+        # computed on construction, where a bad Eb/N0 can fail
         monkeypatch.setattr(channels, "noise_variance", counting)
+        spec = ChannelSpec("awgn", ebn0_db, 4 / 7)
+        assert calls == [(ebn0_db, 4 / 7)]
         assert spec.sigma2 == noise_variance(ebn0_db, 4 / 7)
         assert spec.sigma2 == spec.sigma2
         assert calls == [(ebn0_db, 4 / 7)]

@@ -170,6 +170,22 @@ class TestExitCodes:
             f"got {value}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("train", "--train-db", "4000"), ("robustness", "--train-db", "-4000"),
+        ("overlap", "--train-db", "4000"), ("overlap", "--test-db", "0,-4000"),
+    ])
+    def test_db_without_a_noise_variance_names_the_flag(
+            self, tmp_path, capsys, command, flag, value):
+        # finite, but too far from 0 dB for a positive, finite variance
+        out = tmp_path / "run"
+        code = run_command([command, f"{flag}={value}", "--out", str(out)])
+        assert code == 1
+        db = value.split(",")[-1]
+        assert capsys.readouterr().err == (
+            f"error: {flag}: Eb/N0 {db} dB gives no positive, finite noise "
+            f"variance at rate 0.571429\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--test-db", "inf"), ("--test-db", "0,-inf"), ("--test-db", "nan"),
         ("--train-db", "inf"), ("--train-db", "-inf"), ("--train-db", "nan"),

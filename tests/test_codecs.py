@@ -159,7 +159,7 @@ class TestClosedForms:
         assert codecs.q_function(-1.0) == pytest.approx(1 - 0.15865525393145707, abs=1e-12)
 
     def test_q_function_lower_tail_known_values(self):
-        # Q(-x) is the normal CDF at x, the form the overlap table uses
+        # Q(-x) is the normal CDF at x
         assert codecs.q_function(-0.0) == pytest.approx(0.5, abs=1e-15)
         assert codecs.q_function(-1.959963984540054) == pytest.approx(0.975, abs=1e-12)
         assert codecs.q_function(8.0) == pytest.approx(norm.cdf(-8.0), rel=1e-10)

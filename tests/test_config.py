@@ -175,15 +175,16 @@ class TestValidation:
             ExperimentConfig(**{key: value})
 
     def test_test_grid_size_is_bounded(self):
-        # 10,000 points are accepted and one more step is not
-        at_bound = ExperimentConfig(test_ebn0_start=0.0, test_ebn0_stop=9999.0,
-                                    test_ebn0_step=1.0)
+        # 10,000 points are accepted and one more step is not; the grid
+        # stays within the Eb/N0 range that has a noise variance
+        at_bound = ExperimentConfig(test_ebn0_start=-1000.0,
+                                    test_ebn0_stop=1499.75, test_ebn0_step=0.25)
         assert at_bound.test_grid().size == MAX_TEST_POINTS == 10_000
         with pytest.raises(ConfigurationError,
                            match="^test_ebn0_step: gives more than 10000 "
                                  "test points$"):
-            ExperimentConfig(test_ebn0_start=0.0, test_ebn0_stop=10_000.0,
-                             test_ebn0_step=1.0)
+            ExperimentConfig(test_ebn0_start=-1000.0, test_ebn0_stop=1500.0,
+                             test_ebn0_step=0.25)
 
     def test_empty_seeds(self):
         with pytest.raises(ConfigurationError, match="seeds"):
@@ -278,11 +279,19 @@ INVALID_FILES = [
     ("[sweep]\ntest_ebn0_start = 10\ntest_ebn0_stop = 10.000001\n"
      "test_ebn0_step = 5e-7\n", 4,
      r"test_ebn0_step: test points 10\.0 and 10\.0000005 share the key '10'"),
+    # finite, but 10^(dB/10) overflows or the noise variance underflows to 0
+    ("[sweep]\ntrain_ebn0_db = 0, 4000\n", 2,
+     r"train_ebn0_db: Eb/N0 4000 dB gives no positive, finite noise variance "
+     r"at rate 0\.571429"),
+    ("# deep grid\n[sweep]\ntest_ebn0_start = -4000\n", 3,
+     r"test_ebn0_start: Eb/N0 -4000 dB gives no positive, finite noise "
+     r"variance at rate 0\.571429"),
 ]
 INVALID_IDS = ["repeated-seeds", "seed-2**64", "negative-seed",
                "rho-out-of-range", "stop-inf", "start-inf",
                "step-inf", "learning-rate-inf", "epsilon-inf", "step-1e-300",
-               "step-1e-6", "train-key-clash", "grid-key-clash"]
+               "step-1e-6", "train-key-clash", "grid-key-clash",
+               "train-db-4000", "grid-start-minus-4000"]
 
 
 class TestValidationNamesLine:

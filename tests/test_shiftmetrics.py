@@ -41,6 +41,10 @@ def kl_1d_by_quadrature(s2a, s2b):
     return value
 
 
+def overlap_1d(s2a, s2b):
+    return shiftmetrics.overlap_same_mean_isotropic(s2a, s2b, 1)
+
+
 class TestCdfs:
     def test_chi_square_cdf_against_scipy_stats(self):
         for dof in (1, 2, 7, 10):
@@ -57,51 +61,47 @@ class TestCdfs:
 
 
 class TestOverlap1d:
+    """The tabulated per-dimension overlap: the isotropic form at d = 1."""
+
     def test_equal_variances_full_overlap(self):
-        assert shiftmetrics.overlap_same_mean_1d(0.7, 0.7) == 1.0
+        assert overlap_1d(0.7, 0.7) == 1.0
 
     def test_matches_quadrature(self):
         for ratio in (1.5, 2.0, 5.0, 10.0, 100.0):
-            got = shiftmetrics.overlap_same_mean_1d(1.0, ratio)
+            got = overlap_1d(1.0, ratio)
             want = overlap_1d_by_quadrature(1.0, ratio)
             assert got == pytest.approx(want, abs=1e-10)
 
     def test_symmetric(self):
-        a = shiftmetrics.overlap_same_mean_1d(0.3, 2.1)
-        b = shiftmetrics.overlap_same_mean_1d(2.1, 0.3)
+        a = overlap_1d(0.3, 2.1)
+        b = overlap_1d(2.1, 0.3)
         assert a == b
 
     def test_scale_invariant(self):
-        a = shiftmetrics.overlap_same_mean_1d(1.0, 4.0)
-        b = shiftmetrics.overlap_same_mean_1d(0.25, 1.0)
+        a = overlap_1d(1.0, 4.0)
+        b = overlap_1d(0.25, 1.0)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_nonpositive_variance_rejected(self):
         with pytest.raises(ValueError):
-            shiftmetrics.overlap_same_mean_1d(0.0, 1.0)
+            overlap_1d(0.0, 1.0)
         with pytest.raises(ValueError):
-            shiftmetrics.overlap_same_mean_1d(1.0, -2.0)
+            overlap_1d(1.0, -2.0)
 
     @given(positive_variance, positive_variance)
     @settings(max_examples=60)
     def test_in_unit_interval_and_symmetric(self, s2a, s2b):
-        value = shiftmetrics.overlap_same_mean_1d(s2a, s2b)
+        value = overlap_1d(s2a, s2b)
         assert 0.0 < value <= 1.0
-        assert value == shiftmetrics.overlap_same_mean_1d(s2b, s2a)
+        assert value == overlap_1d(s2b, s2a)
 
     def test_decreases_with_ratio(self):
         ratios = np.array([1.0, 1.5, 3.0, 8.0, 30.0, 200.0])
-        values = [shiftmetrics.overlap_same_mean_1d(1.0, r) for r in ratios]
+        values = [overlap_1d(1.0, r) for r in ratios]
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
 class TestOverlapIsotropic:
-    def test_dimension_one_matches_1d(self):
-        for ratio in (1.3, 2.0, 9.0):
-            a = shiftmetrics.overlap_same_mean_isotropic(1.0, ratio, 1)
-            b = shiftmetrics.overlap_same_mean_1d(1.0, ratio)
-            assert a == pytest.approx(b, abs=1e-12)
-
     def test_matches_monte_carlo(self):
         for dim in (2, 7):
             for ratio in (2.0, 10.0):
