@@ -20,7 +20,7 @@ def main():
     print()
     print("test dB   overlap    KL (nats)")
     for row in harness.overlap_table(TRAIN_DB, TEST_DBS, RATE):
-        print(f"{row.test_ebn0_db:+7.1f}   {row.overlap_pct:6.2f}%   "
+        print(f"{row.test_ebn0_db:+7.1f}   {100 * row.overlap:6.2f}%   "
               f"{row.kl_nats:.4f}")
 
     print()

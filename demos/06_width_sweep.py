@@ -17,7 +17,7 @@ WIDTHS = (2, 4, 8, 16, 32, 64)
 
 def decoder_macs(layout):
     """Multiply-accumulates of the decoder's dense layers per block."""
-    return sum(fan_in * fan_out for _, fan_in, fan_out, _ in layout.layers[2:])
+    return sum(fan_in * fan_out for _, fan_in, fan_out in layout.layers[2:])
 
 
 def main():

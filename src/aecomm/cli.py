@@ -104,7 +104,7 @@ def _cmd_overlap(args, config, say):
     rows = harness.overlap_table(train_db, tests, config.rate)
     for row in rows:
         say(f"test {row.test_ebn0_db:+g} dB: overlap "
-            f"{row.overlap_pct:.2f}%  KL {row.kl_nats:.4f} nats")
+            f"{100 * row.overlap:.2f}%  KL {row.kl_nats:.4f} nats")
     return {"overlap.csv": harness.overlap_to_csv(rows)}
 
 

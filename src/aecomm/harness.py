@@ -21,7 +21,7 @@ as its repr, an int as str, and a missing value as an empty field.
 
 import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -388,22 +388,11 @@ def baseline_curves(config: ExperimentConfig, workers: int = 1,
 
 # -- overlap table ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OverlapRow:
-    test_ebn0_db: float
-    overlap_pct: float
-    kl_nats: float
-
-
 def overlap_table(train_ebn0_db: float, test_ebn0_db, rate) -> list:
-    """Univariate overlap (percent) and KL against one training point."""
-    rows = []
-    for db in test_ebn0_db:
-        result = shiftmetrics.compare_received_distributions(
-            train_ebn0_db, db, float(rate), dimension=1)
-        rows.append(OverlapRow(float(db), 100.0 * result.overlap,
-                               result.kl_nats))
-    return rows
+    """Per-dimension overlap and KL against one training point: one
+    ``shiftmetrics.OverlapResult`` per test point, in the order given."""
+    return [shiftmetrics.compare_received_distributions(
+        train_ebn0_db, db, float(rate)) for db in test_ebn0_db]
 
 
 # -- width probe --------------------------------------------------------------
@@ -508,7 +497,8 @@ def baseline_to_csv(curves, channel_kind: str = "awgn") -> str:
 
 
 def overlap_to_csv(rows) -> str:
-    return _csv("test_ebn0_db,overlap_pct,kl_nats", map(astuple, rows))
+    return _csv("test_ebn0_db,overlap_pct,kl_nats",
+                ((r.test_ebn0_db, 100.0 * r.overlap, r.kl_nats) for r in rows))
 
 
 def history_to_csv(history: TrainingHistory) -> str:

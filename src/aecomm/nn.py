@@ -52,27 +52,25 @@ class NetworkLayout:
     # cached: every ModelParams built over this layout reads it
     @cached_property
     def layers(self) -> tuple:
-        """(offset, fan_in, fan_out, activation) per layer, encoder first.
-        The layer's weight starts at ``offset`` in ``ModelParams.flat`` and
-        its bias follows the weight."""
+        """(offset, fan_in, fan_out) per layer, encoder first, ReLU then
+        linear in each stack.  The layer's weight starts at ``offset`` in
+        ``ModelParams.flat`` and its bias follows the weight."""
         m, n, w = self.message_count, self.channel_uses, self.decoder_hidden
         out, offset = [], 0
-        for fan_in, fan_out, activation in ((m, m, "relu"), (m, n, "linear"),
-                                            (n, w, "relu"), (w, m, "linear")):
-            out.append((offset, fan_in, fan_out, activation))
+        for fan_in, fan_out in ((m, m), (m, n), (n, w), (w, m)):
+            out.append((offset, fan_in, fan_out))
             offset += fan_in * fan_out + fan_out
         return tuple(out)
 
     @cached_property
     def parameter_count(self) -> int:
-        offset, fan_in, fan_out, _ = self.layers[-1]
+        offset, fan_in, fan_out = self.layers[-1]
         return offset + fan_in * fan_out + fan_out
 
 
 class DenseLayer(NamedTuple):
     weight: np.ndarray  # ([models,] fan_in, fan_out)
     bias: np.ndarray  # ([models,] fan_out)
-    activation: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,11 +100,11 @@ class ModelParams:
                 f"or (models, {size})")
         lead, flat = self.flat.shape[:-1], self.flat
         layers = []
-        for offset, fan_in, fan_out, activation in self.layout.layers:
+        for offset, fan_in, fan_out in self.layout.layers:
             end = offset + fan_in * fan_out
             layers.append(DenseLayer(
                 flat[..., offset:end].reshape(lead + (fan_in, fan_out)),
-                flat[..., end:end + fan_out], activation))
+                flat[..., end:end + fan_out]))
         object.__setattr__(self, "encoder", tuple(layers[:2]))
         object.__setattr__(self, "decoder", tuple(layers[2:]))
 
@@ -183,7 +181,7 @@ def _encoder_forward(params: ModelParams):
     """The encoder on the M-row identity, whose product with W1 is W1:
     (codebook, z, norms, hidden).  ReLU runs in place; its output is positive
     exactly where its input is, so the backward mask can read it."""
-    (w1, b1, _), (w2, b2, _) = params.encoder
+    (w1, b1), (w2, b2) = params.encoder
     hidden = w1 + b1[..., None, :]
     np.maximum(hidden, 0.0, out=hidden)
     z = hidden @ w2
@@ -211,7 +209,7 @@ def predict(params: ModelParams, received) -> np.ndarray:
         return np.take(predict(params, received[None]), 0, axis=-1)
     # [..., None, :] lines a stack's (models, width) bias up with its
     # (models, rows, width) layer output
-    (w3, b3, _), (w4, b4, _) = params.decoder
+    (w3, b3), (w4, b4) = params.decoder
     hidden = received @ w3
     hidden += b3[..., None, :]
     np.maximum(hidden, 0.0, out=hidden)
@@ -231,16 +229,6 @@ def _check_batch(params, messages):
     if messages.min() < 0 or messages.max() >= params.message_count:
         raise ValueError("batch contains message indices out of range")
     return messages
-
-
-def loss_given_disturbance(params, messages, noise, fade=None):
-    """Mean cross-entropy for a fixed channel realization (no gradients).
-
-    Shares the exact forward path with loss_and_gradients_given; used by the
-    finite-difference gradient oracle.
-    """
-    loss, _ = _loss_core(params, messages, noise, fade, False, Workspace())
-    return loss
 
 
 def loss_and_gradients_given(params, messages, noise, fade=None, work=None):
@@ -291,7 +279,7 @@ def _loss_core(params, messages, noise, fade, want_grads, work):
     if fade is not None:
         y *= fade[:, None, :]
     y += noise.mT
-    (w3, b3, _), (w4, b4, _) = params.decoder
+    (w3, b3), (w4, b4) = params.decoder
     hidden = np.matmul(w3.mT, y, out=work.array(
         "hidden", (models, w3.shape[-1], batch)))
     hidden += b3[..., None]
@@ -316,7 +304,7 @@ def _loss_core(params, messages, noise, fade, want_grads, work):
     dlogits = probs  # in place: the loss no longer needs probs
     dlogits -= onehot
     dlogits /= batch
-    (dw3, db3, _), (dw4, db4, _) = grads.decoder
+    (dw3, db3), (dw4, db4) = grads.decoder
     np.matmul(hidden, dlogits.mT, out=dw4)
     dlogits.sum(axis=-1, out=db4)
     dhidden = np.matmul(w4, dlogits, out=work.array("dhidden", hidden.shape))
@@ -332,7 +320,7 @@ def _loss_core(params, messages, noise, fade, want_grads, work):
     dz = np.sqrt(n) / norms * (dx - z * radial / norms**2)
     # the transposed views fix each sum's order, and so the trained bits;
     # the input is the identity, so dW1 is the hidden-layer gradient itself
-    (dw1, db1, _), (dw2, db2, _) = grads.encoder
+    (dw1, db1), (dw2, db2) = grads.encoder
     np.matmul(enc_hidden.mT, dz, out=dw2)
     dz.mT.sum(axis=-1, out=db2)
     g = params.encoder[1].weight @ dz.mT
@@ -346,18 +334,19 @@ def finite_difference_gradients(params, messages, noise,
                                 fade=None) -> ModelParams:
     """Central-difference gradients of the fixed-realization loss.
 
-    Slow by construction: one loss pair per parameter entry.  This is the
-    independent oracle for loss_and_gradients_given.
+    Slow by construction: one loss pair per parameter entry, each on the
+    gradient-free path, which writes every workspace array it reads.  This
+    is the independent oracle for loss_and_gradients_given.
     """
-    work = params.copy()
+    probe, work = params.copy(), Workspace()
     grads = ModelParams(params.layout, np.zeros_like(params.flat))
-    for i in range(work.flat.size):
-        saved = work.flat[i]
-        work.flat[i] = saved + _FD_STEP
-        up = loss_given_disturbance(work, messages, noise, fade)
-        work.flat[i] = saved - _FD_STEP
-        down = loss_given_disturbance(work, messages, noise, fade)
-        work.flat[i] = saved
+    for i in range(probe.flat.size):
+        saved = probe.flat[i]
+        probe.flat[i] = saved + _FD_STEP
+        up, _ = _loss_core(probe, messages, noise, fade, False, work)
+        probe.flat[i] = saved - _FD_STEP
+        down, _ = _loss_core(probe, messages, noise, fade, False, work)
+        probe.flat[i] = saved
         grads.flat[i] = (up - down) / (2.0 * _FD_STEP)
     return grads
 
@@ -465,14 +454,13 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState):
 
 CHECKPOINT_MAGIC = b"AECOMMNN"
 CHECKPOINT_VERSION = 1
-_ACT_CODE = {"linear": 0, "relu": 1}
 
 
 def _header(layout: NetworkLayout) -> bytes:
     words = [CHECKPOINT_VERSION, layout.message_count, layout.block_bits,
              layout.channel_uses, 2, 2]
-    for _, fan_in, fan_out, activation in layout.layers:
-        words += [fan_in, fan_out, _ACT_CODE[activation]]
+    for i, (_, fan_in, fan_out) in enumerate(layout.layers):
+        words += [fan_in, fan_out, 1 - i % 2]  # ReLU first in each stack
     return CHECKPOINT_MAGIC + np.asarray(words, dtype="<u4").tobytes()
 
 

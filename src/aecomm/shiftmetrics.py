@@ -6,7 +6,8 @@ the two same-mean Gaussians is quantified by the overlapping coefficient
 (the shared probability mass, integral of min(p, q)) and by the KL
 divergence.  One closed form covers any dimension d; the tabulated value is
 its per-dimension case d = 1 (chi-square with one degree of freedom), and a
-Monte Carlo estimator is the independent check on it.
+Monte Carlo estimator is the independent check on it.  Both closed forms
+work from the log variances, so they hold at any two accepted Eb/N0 points.
 """
 
 from dataclasses import dataclass
@@ -41,25 +42,28 @@ def _check(sigma2_a, sigma2_b, dimension):
 def overlap_same_mean_isotropic(sigma2_a: float, sigma2_b: float, dimension: int) -> float:
     """Overlap of two zero-mean isotropic Gaussians in ``dimension`` dims.
 
-    The density ratio depends only on the radius; the crossover radius is
-    r*^2 = d ln(sigma_b^2/sigma_a^2) / (1/sigma_a^2 - 1/sigma_b^2) and the
-    shared mass follows from the chi-square law of r^2/sigma^2.
+    The density ratio depends only on the radius, so the shared mass follows
+    from the chi-square law of r^2/sigma^2 at the crossover radius r*.  With
+    t = ln(hi/lo) for variances lo < hi, r*^2/hi = d t e^-t / (1 - e^-t) and
+    r*^2/lo = d t / (1 - e^-t); neither overflows.
     """
     _check(sigma2_a, sigma2_b, dimension)
     if sigma2_a == sigma2_b:
         return 1.0
-    lo, hi = sorted((sigma2_a, sigma2_b))
-    r2 = dimension * np.log(hi / lo) / (1.0 / lo - 1.0 / hi)
-    wide_inside = chi_square_cdf(r2 / hi, dimension)
-    narrow_outside = 1.0 - chi_square_cdf(r2 / lo, dimension)
+    t = abs(np.log(sigma2_a) - np.log(sigma2_b))
+    gap = -np.expm1(-t)  # 1 - lo/hi
+    wide_inside = chi_square_cdf(dimension * t * np.exp(-t) / gap, dimension)
+    narrow_outside = 1.0 - chi_square_cdf(dimension * t / gap, dimension)
     return float(wide_inside + narrow_outside)
 
 
 def kl_same_mean(sigma2_a: float, sigma2_b: float, dimension: int = 1) -> float:
-    """KL(N(0, a I_d) || N(0, b I_d)) = d/2 [a/b - 1 + ln(b/a)] in nats."""
+    """KL(N(0, a I_d) || N(0, b I_d)) = d/2 [a/b - 1 + ln(b/a)] in nats,
+    as d/2 [expm1(s) - s] with s = ln a - ln b; inf past the float range."""
     _check(sigma2_a, sigma2_b, dimension)
-    ratio = sigma2_a / sigma2_b
-    return float(0.5 * dimension * (ratio - 1.0 - np.log(ratio)))
+    s = np.log(sigma2_a) - np.log(sigma2_b)
+    with np.errstate(over="ignore"):
+        return float(0.5 * dimension * (np.expm1(s) - s))
 
 
 @dataclass(frozen=True)
@@ -103,13 +107,11 @@ def overlap_monte_carlo(
 
 @dataclass(frozen=True)
 class OverlapResult:
-    """Shift between a train-time and a test-time received distribution."""
+    """Shift from a train-time to a test-time received distribution."""
 
+    test_ebn0_db: float
     overlap: float
     kl_nats: float
-    sigma2_train: float
-    sigma2_test: float
-    dimension: int
 
 
 def compare_received_distributions(
@@ -125,4 +127,4 @@ def compare_received_distributions(
     s2_test = channels.noise_variance(test_ebn0_db, rate)
     overlap = overlap_same_mean_isotropic(s2_train, s2_test, dimension)
     kl = kl_same_mean(s2_train, s2_test, dimension)
-    return OverlapResult(overlap, kl, s2_train, s2_test, dimension)
+    return OverlapResult(float(test_ebn0_db), overlap, kl)

@@ -288,6 +288,23 @@ class TestOverlap:
         assert float(row[1]) == 100.0
         assert float(row[2]) == 0.0
 
+    @pytest.mark.parametrize("train_db, test_db, kl", [
+        ("3000", "-3000", pytest.approx(690.2755278982137, rel=1e-12)),
+        ("1600", "-1600", pytest.approx(367.913614879047, rel=1e-12)),
+        ("-3000", "3000", float("inf")),
+    ])
+    def test_distant_points_keep_true_overlap_and_kl(self, tmp_path, train_db,
+                                                      test_db, kl):
+        # the variance ratio is 1e-600, 1e-320 or 1e600: beyond the float
+        # range or subnormal; the true overlap is at most about 2e-157 %
+        out = tmp_path / "run"
+        code = run_command(["overlap", "--quiet", f"--train-db={train_db}",
+                            f"--test-db={test_db}", "--out", str(out)])
+        assert code == 0
+        row = (out / "overlap.csv").read_text().splitlines()[1].split(",")
+        assert float(row[1]) < 1e-100
+        assert float(row[2]) == kl
+
     def test_writes_nothing_outside_out(self, tmp_path, monkeypatch):
         cwd = tmp_path / "cwd"
         cwd.mkdir()

@@ -9,7 +9,8 @@ import pytest
 from scipy.special import ndtri
 from scipy.stats import binomtest
 
-from aecomm import ExperimentConfig, channels, codecs, harness, nn
+from aecomm import (ExperimentConfig, channels, codecs, harness, nn,
+                    shiftmetrics)
 from aecomm.channels import ChannelSpec, transmit
 from aecomm.errors import (ConfigurationError, DegenerateCodewordError,
                            DivergenceError)
@@ -683,18 +684,15 @@ class TestRobustness:
 class TestOverlapTable:
     def test_matches_shift_metrics(self):
         rows = harness.overlap_table(7.0, [-4.0, 8.0], 4 / 7)
-        from aecomm import shiftmetrics
-
         for row in rows:
             want = shiftmetrics.compare_received_distributions(
                 7.0, row.test_ebn0_db, 4 / 7
             )
-            assert row.overlap_pct == pytest.approx(100 * want.overlap, abs=1e-12)
-            assert row.kl_nats == pytest.approx(want.kl_nats, abs=1e-12)
+            assert row == want
 
     def test_train_equals_test_row(self):
         (row,) = harness.overlap_table(7.0, [7.0], 4 / 7)
-        assert row.overlap_pct == 100.0
+        assert row.overlap == 1.0
         assert row.kl_nats == 0.0
 
     def test_rows_keep_requested_order(self):
@@ -841,8 +839,9 @@ class TestEmitters:
             "hamming_mld,hamming-mld,,-4.0,250,200,0.8,0.75,0.84,1,\n")
 
     def test_overlap_csv_bytes(self):
-        rows = [harness.OverlapRow(-4.0, 0.1, 1e-05),
-                harness.OverlapRow(7.0, 100.0, 0.0)]
+        # the percent column is 100.0 * overlap: 0.001 -> 0.1, 1.0 -> 100.0
+        rows = [shiftmetrics.OverlapResult(-4.0, 0.001, 1e-05),
+                shiftmetrics.OverlapResult(7.0, 1.0, 0.0)]
         assert harness.overlap_to_csv(rows) == (
             "test_ebn0_db,overlap_pct,kl_nats\n-4.0,0.1,1e-05\n"
             "7.0,100.0,0.0\n")

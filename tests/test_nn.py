@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from aecomm.errors import (
     DivergenceError,
 )
 from aecomm.rng import substream
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def small_batch(params, size=4, sigma=0.4, key=0):
@@ -68,11 +71,6 @@ class TestInit:
         w = params.encoder[0].weight  # fan_in 16 -> std 0.25
         assert abs(w.std() - 0.25) < 0.05
 
-    def test_hidden_relu_output_linear(self):
-        params = nn.init_params(nn.NetworkLayout(), 0)
-        assert [l.activation for l in params.encoder] == ["relu", "linear"]
-        assert [l.activation for l in params.decoder] == ["relu", "linear"]
-
     def test_bad_encoder_output_width(self):
         with pytest.raises(ConfigurationError, match="channel_uses must be"):
             nn.NetworkLayout(16, 0, 16)
@@ -92,8 +90,7 @@ class TestInit:
         assert [f.name for f in dataclasses.fields(layout)] == [
             "message_count", "channel_uses", "decoder_hidden"]
         assert [row[1:] for row in nn.NetworkLayout(16, 7, 12).layers] == [
-            (16, 16, "relu"), (16, 7, "linear"), (7, 12, "relu"),
-            (12, 16, "linear")]
+            (16, 16), (16, 7), (7, 12), (12, 16)]
 
     def test_decoder_hidden_override(self):
         layout = nn.NetworkLayout(decoder_hidden=32)
@@ -148,8 +145,8 @@ class TestDecode:
         # at one received word y the 16 posteriors sum to one
         cb = nn.codebook(quick_model)
         for y in substream(1, "dec").standard_normal((8, 7)):
-            posterior = [np.exp(-nn.loss_given_disturbance(
-                quick_model, [m], (y - cb[m])[None])) for m in range(16)]
+            posterior = [np.exp(-nn.loss_and_gradients_given(
+                quick_model, [m], (y - cb[m])[None])[0]) for m in range(16)]
             assert abs(sum(posterior) - 1.0) <= 1e-12
 
     def test_zero_decoder_gives_uniform(self):
@@ -157,7 +154,7 @@ class TestDecode:
         for layer in params.decoder:
             layer.weight[...] = 0.0
         noise = substream(4, "dec").standard_normal((16, 7))
-        loss = nn.loss_given_disturbance(params, np.arange(16), noise)
+        loss, _ = nn.loss_and_gradients_given(params, np.arange(16), noise)
         assert loss == pytest.approx(np.log(16.0), rel=0, abs=1e-15)
 
     def test_predict_tie_break_lowest_index(self):
@@ -189,7 +186,8 @@ class TestDecode:
 def batch_major_loss_and_gradients(params, messages, noise, fade=None):
     """The step written out one row per block: the encoder on each block's
     one-hot row, the softmax along each row, and every gradient summed over
-    the batch rows.  Returns (loss, flat gradient)."""
+    the batch rows; ReLU on the first layer of each stack, linear on the
+    second.  Returns (loss, flat gradient)."""
     batch = messages.size
     m, n = params.message_count, params.channel_uses
     rows = np.arange(batch)
@@ -198,16 +196,16 @@ def batch_major_loss_and_gradients(params, messages, noise, fade=None):
 
     def forward(layers, a):
         cache = []
-        for layer in layers:
+        for relu, layer in zip((True, False), layers):
             pre = a @ layer.weight + layer.bias
             cache.append((a, pre))
-            a = np.maximum(pre, 0.0) if layer.activation == "relu" else pre
+            a = np.maximum(pre, 0.0) if relu else pre
         return a, cache
 
     def backward(layers, cache, g, grad_layers):
-        for layer, (a, pre), out in reversed(list(zip(layers, cache,
-                                                      grad_layers))):
-            if layer.activation == "relu":
+        for relu, layer, (a, pre), out in reversed(list(zip(
+                (True, False), layers, cache, grad_layers))):
+            if relu:
                 g = g * (pre > 0.0)
             out.weight[...] = a.T @ g
             out.bias[...] = g.sum(axis=0)
@@ -256,7 +254,10 @@ class TestLossAndGradients:
         want_loss, want = batch_major_loss_and_gradients(params, messages,
                                                          noise, fade)
         assert loss == pytest.approx(want_loss, rel=1e-12, abs=0)
-        assert nn.loss_given_disturbance(params, messages, noise, fade) == loss
+        # the gradient-free path, as the finite-difference oracle runs it
+        free, _ = nn._loss_core(params, messages, noise, fade, False,
+                                nn.Workspace())
+        assert free == loss
         scale = np.abs(want).max()
         assert scale > 0.0
         assert np.allclose(grads.flat, want, rtol=1e-12, atol=1e-12 * scale)
@@ -291,13 +292,13 @@ class TestLossAndGradients:
         fitted = fitted_decoder(quick_model)
         messages = np.array([3])
         noise = np.zeros((1, 7))
-        assert nn.loss_given_disturbance(fitted, messages, noise) < 1e-6
+        assert nn.loss_and_gradients_given(fitted, messages, noise)[0] < 1e-6
 
     def test_interpolation_all_messages(self, quick_model):
         fitted = fitted_decoder(quick_model)
         messages = np.arange(16)
         noise = np.zeros((16, 7))
-        assert nn.loss_given_disturbance(fitted, messages, noise) < 1e-6
+        assert nn.loss_and_gradients_given(fitted, messages, noise)[0] < 1e-6
 
     def test_divergence_on_underflowing_posterior(self, quick_model):
         fitted = fitted_decoder(quick_model, scale=2000.0)
@@ -306,13 +307,14 @@ class TestLossAndGradients:
         messages = np.arange(16)
         noise = np.zeros((16, 7))
         with pytest.raises(DivergenceError):
-            nn.loss_given_disturbance(fitted, messages, noise)
+            nn.loss_and_gradients_given(fitted, messages, noise)
 
     def test_bad_batch_rejected(self, quick_model):
         with pytest.raises(ValueError):
-            nn.loss_given_disturbance(quick_model, np.array([16]), np.zeros((1, 7)))
+            nn.loss_and_gradients_given(quick_model, np.array([16]),
+                                        np.zeros((1, 7)))
         with pytest.raises(ValueError):
-            nn.loss_given_disturbance(
+            nn.loss_and_gradients_given(
                 quick_model, np.array([], dtype=int), np.zeros((0, 7))
             )
 
@@ -322,8 +324,6 @@ class TestLossAndGradients:
         noise = np.zeros((2, 7))
         with pytest.raises(ValueError, match="integer dtype"):
             nn.loss_and_gradients_given(quick_model, messages, noise)
-        with pytest.raises(ValueError, match="integer dtype"):
-            nn.loss_given_disturbance(quick_model, messages, noise)
 
     def test_integer_indices_of_any_width_accepted(self, quick_model):
         messages = substream(0, "nn-test").integers(0, 16, 8)
@@ -399,15 +399,22 @@ class TestCheckpoint:
         assert loaded.layout == quick_model.layout
         assert loaded.channel_uses == quick_model.channel_uses
         assert np.array_equal(quick_model.flat, loaded.flat)
-        acts = [l.activation for l in loaded.encoder + loaded.decoder]
-        want = [l.activation for l in quick_model.encoder + quick_model.decoder]
-        assert acts == want
+        # each stack's activation codes: ReLU (1), then linear (0)
+        words = np.frombuffer(path.read_bytes(), "<u4", count=18, offset=8)
+        assert words[8::3].tolist() == [1, 0, 1, 0]
 
     def test_save_is_deterministic(self, quick_model, tmp_path):
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         nn.save_checkpoint(quick_model, a)
         nn.save_checkpoint(quick_model, b)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("path", [
+        ROOT / "tests" / "data" / "reduced_train+7dB_seed0.ckpt",
+        ROOT / "perfbench" / "ae_train7dB_seed0.ckpt",
+    ], ids=["tests-data", "perfbench"])
+    def test_committed_checkpoint_resaves_byte_for_byte(self, path):
+        assert nn.checkpoint_bytes(nn.load_checkpoint(path)) == path.read_bytes()
 
     def test_bad_magic_rejected(self, quick_model, tmp_path):
         path = tmp_path / "model.ckpt"
@@ -625,7 +632,7 @@ class TestModelStack:
     def test_layer_table_is_consecutive(self):
         layout = nn.NetworkLayout(decoder_hidden=12)
         offset = 0
-        for start, fan_in, fan_out, _ in layout.layers:
+        for start, fan_in, fan_out in layout.layers:
             assert start == offset
             offset += fan_in * fan_out + fan_out
         assert offset == layout.parameter_count
@@ -662,8 +669,8 @@ class TestModelStack:
             loss, want = nn.loss_and_gradients_given(params, *batch)
             assert losses[k] == loss
             assert np.array_equal(grads.flat[k], want.flat)
-            assert nn.loss_given_disturbance(
-                stack(models), messages, noise, fade)[k] == loss
+            assert nn._loss_core(stack(models), messages, noise, fade, False,
+                                 nn.Workspace())[0][k] == loss
 
     @pytest.mark.parametrize("rows", [3, 5])
     def test_stacked_predict_and_codebook_equal_per_model_calls(self, rows):

@@ -35,7 +35,7 @@ REDUCED_DIGESTS = {
     (("robustness", "--train-db", "7"), "robustness.csv"):
         "0957f25abe7f26367f51c6617878fbe4976f569d98411ee220d495fada6b7e1a",
     (("overlap", "--train-db", "7"), "overlap.csv"):
-        "fddff84f875f104afea6f4de2dc6f3e0098cda3a0bf610119069d688744c2752",
+        "317a99b295885363bb4d074fb7c24052916840cf646317f8bd403c07baac9c24",
 }
 
 DEFAULT_BASELINE_SHA256 = (

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import chi2, norm
 
-from aecomm import shiftmetrics
+from aecomm import channels, shiftmetrics
 from aecomm.rng import substream
 
 positive_variance = st.floats(min_value=1e-3, max_value=1e3)
@@ -181,10 +181,8 @@ class TestCompareReceivedDistributions:
         assert result.kl_nats == 0.0
 
     def test_fields_populated(self):
-        result = shiftmetrics.compare_received_distributions(7.0, 0.0, 4 / 7)
-        assert result.sigma2_train == pytest.approx(0.875 / 10 ** 0.7, rel=1e-12)
-        assert result.sigma2_test == pytest.approx(0.875, rel=1e-12)
-        assert result.dimension == 1
+        result = shiftmetrics.compare_received_distributions(7.0, 0, 4 / 7)
+        assert repr(result.test_ebn0_db) == "0.0"
         assert 0 < result.overlap < 1
         assert result.kl_nats > 0
 
@@ -199,6 +197,25 @@ class TestCompareReceivedDistributions:
     def test_dimension_seven_variant(self):
         result = shiftmetrics.compare_received_distributions(7.0, 0.0, 4 / 7, dimension=7)
         one = shiftmetrics.compare_received_distributions(7.0, 0.0, 4 / 7)
-        assert result.dimension == 7
         assert result.overlap < one.overlap
         assert result.kl_nats == pytest.approx(7 * one.kl_nats, rel=1e-12)
+
+    @given(st.floats(-3000.0, 3000.0), st.floats(-3000.0, 3000.0))
+    @settings(max_examples=200)
+    def test_any_accepted_points_stay_in_range(self, train_db, test_db):
+        # variances from about 1e-300 to 1e300: their ratio overflows or
+        # goes subnormal, the log-variance forms do not
+        equal = (channels.noise_variance(train_db, 4 / 7)
+                 == channels.noise_variance(test_db, 4 / 7))
+        for dim in (1, 7):
+            there, back, same = (
+                shiftmetrics.compare_received_distributions(a, b, 4 / 7, dim)
+                for a, b in ((train_db, test_db), (test_db, train_db),
+                             (train_db, train_db)))
+            assert 0.0 <= there.overlap <= 1.0
+            assert there.overlap == back.overlap
+            assert same.overlap == 1.0
+            if equal:
+                assert there.overlap == 1.0
+            for kl in (there.kl_nats, back.kl_nats, same.kl_nats):
+                assert kl >= 0.0 and not np.isnan(kl)
