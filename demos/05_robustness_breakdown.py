@@ -3,8 +3,10 @@
 One model is trained on the plain additive-noise channel, then evaluated on
 three progressively harder mismatches: noise correlated across the block
 (rho = 0.5 and 0.9) and Rayleigh block fading.  Correlation bends the curve;
-fading breaks it.  Every variant at a test point reuses the same underlying
-noise draws, so the comparison is paired rather than statistical.
+fading breaks it.  At a test point the AWGN and correlated variants reuse
+the same messages and noise draws, so their comparison is paired.  The
+Rayleigh variant shares the messages but only the noise of each chunk's
+first tile, because each tile's fades are drawn after its noise.
 """
 
 from aecomm import ExperimentConfig, harness

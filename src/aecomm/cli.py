@@ -19,7 +19,7 @@ from dataclasses import replace
 from datetime import datetime, timezone
 
 from . import __version__ as _VERSION
-from . import harness, nn
+from . import harness, nn, shiftmetrics
 from .config import ExperimentConfig, load_config, serialize_config
 from .errors import ConfigurationError
 
@@ -101,7 +101,8 @@ def _worker_count(text):
 def _cmd_overlap(args, config, say):
     train_db = _train_db(args, config, zero_noise=False)
     tests = _parse_db_list(args.test_db, config)
-    rows = harness.overlap_table(train_db, tests, config.rate)
+    rows = [shiftmetrics.compare_received_distributions(
+        train_db, db, float(config.rate)) for db in tests]
     for row in rows:
         say(f"test {row.test_ebn0_db:+g} dB: overlap "
             f"{100 * row.overlap:.2f}%  KL {row.kl_nats:.4f} nats")

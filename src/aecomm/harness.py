@@ -1,6 +1,6 @@
 """Experiment orchestration: training runs, Monte Carlo BLER with stopping
-rules and Wilson intervals, the train/test generalization sweep, the overlap
-table, the decoder-width probe, the channel-mismatch probe, and the CSVs.
+rules and Wilson intervals, the train/test generalization sweep, the
+decoder-width probe, the channel-mismatch probe, and the CSVs.
 
 Determinism contract: every random draw comes from a named substream.
 Training keys are (seed, purpose): the models of one seed share each step's
@@ -20,12 +20,13 @@ as its repr, an int as str, and a missing value as an empty field.
 """
 
 import numbers
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import channels, codecs, nn, shiftmetrics
+from . import channels, codecs, nn
 from .config import ExperimentConfig, db_key
 from .errors import (ConfigurationError, DegenerateCodewordError,
                      DivergenceError)
@@ -81,24 +82,31 @@ class StopRule:
 
 @dataclass(frozen=True)
 class BlerPoint:
+    """Counts at one Eb/N0; bler and the Wilson interval derive from them."""
+
     test_ebn0_db: float
     blocks: int
     block_errors: int
-    bler: float
-    ci_low: float
-    ci_high: float
 
     def __post_init__(self):
-        if self.block_errors > self.blocks:
-            raise ValueError("block_errors exceeds blocks")
-        if not self.ci_low <= self.bler <= self.ci_high:
-            raise ValueError("bler outside its confidence interval")
+        # the CSV would write a NumPy Eb/N0 as np.float64(...), and a float
+        # count is rejected, not truncated
+        for name, cast in (("test_ebn0_db", float), ("blocks", operator.index),
+                           ("block_errors", operator.index)):
+            object.__setattr__(self, name, cast(getattr(self, name)))
+        wilson_interval(self.block_errors, self.blocks)  # rejects bad counts
 
+    @property
+    def bler(self) -> float:
+        return self.block_errors / self.blocks
 
-def make_bler_point(test_ebn0_db, errors, blocks) -> BlerPoint:
-    low, high = wilson_interval(errors, blocks)
-    return BlerPoint(float(test_ebn0_db), int(blocks), int(errors),
-                     errors / blocks, low, high)
+    @property
+    def ci_low(self) -> float:
+        return wilson_interval(self.block_errors, self.blocks)[0]
+
+    @property
+    def ci_high(self) -> float:
+        return wilson_interval(self.block_errors, self.blocks)[1]
 
 
 @dataclass
@@ -156,7 +164,7 @@ def estimate_bler(link: Link, test_ebn0_db: float, stop: StopRule,
             blocks += sent.size
             errors += wrong.size
         index += 1
-    return make_bler_point(test_ebn0_db, errors, blocks)
+    return BlerPoint(test_ebn0_db, blocks, errors)
 
 
 # -- links --------------------------------------------------------------------
@@ -317,9 +325,8 @@ def _curve(system, label, train_ebn0_db, link_for, seeds, key, config,
     points = []
     for i, db in enumerate(grid):
         per_seed = estimates[i * len(seeds):(i + 1) * len(seeds)]
-        points.append(make_bler_point(
-            db, sum(p.block_errors for p in per_seed),
-            sum(p.blocks for p in per_seed)))
+        points.append(BlerPoint(db, sum(p.blocks for p in per_seed),
+                                sum(p.block_errors for p in per_seed)))
     return BlerCurve(system, label, train_ebn0_db, len(seeds), points)
 
 
@@ -384,15 +391,6 @@ def baseline_curves(config: ExperimentConfig, workers: int = 1,
                 config.channel_kind, db, system_rate, rho=config.rho)),
             config.seeds[:1], "baseline-channel", config, workers))
     return curves
-
-
-# -- overlap table ------------------------------------------------------------
-
-def overlap_table(train_ebn0_db: float, test_ebn0_db, rate) -> list:
-    """Per-dimension overlap and KL against one training point: one
-    ``shiftmetrics.OverlapResult`` per test point, in the order given."""
-    return [shiftmetrics.compare_received_distributions(
-        train_ebn0_db, db, float(rate)) for db in test_ebn0_db]
 
 
 # -- width probe --------------------------------------------------------------

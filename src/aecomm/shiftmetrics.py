@@ -31,10 +31,9 @@ def chi_square_cdf(x, dof: int):
 
 
 def _check(sigma2_a, sigma2_b, dimension):
-    if not (sigma2_a > 0 and sigma2_b > 0):
-        raise ValueError(
-            f"variances must be positive, got {sigma2_a}, {sigma2_b}"
-        )
+    if not (0 < sigma2_a < np.inf and 0 < sigma2_b < np.inf):
+        raise ValueError(f"variances must be positive and finite, got "
+                         f"sigma2_a={sigma2_a}, sigma2_b={sigma2_b}")
     if dimension < 1:
         raise ValueError(f"dimension must be >= 1, got {dimension}")
 

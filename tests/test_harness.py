@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 from scipy.stats import binomtest
 
@@ -104,16 +106,44 @@ class TestWilson:
             harness.wilson_interval(0, 0)
 
 
+# (blocks, errors) with 1 <= blocks <= 1e9 and 0 <= errors <= blocks
+counts = st.integers(1, 10**9).flatmap(
+    lambda blocks: st.tuples(st.just(blocks), st.integers(0, blocks)))
+
+
 class TestBlerTypes:
+    @given(st.floats(-50.0, 50.0), counts)
+    @settings(max_examples=200)
+    def test_point_is_its_counts(self, db, counts):
+        blocks, errors = counts
+        point = harness.BlerPoint(db, blocks, errors)
+        assert point.bler == errors / blocks
+        assert (point.ci_low, point.ci_high) == harness.wilson_interval(
+            errors, blocks)
+        # NumPy scalars give Python values, so the CSV row is the same
+        numpy = harness.BlerPoint(np.float64(db), np.int64(blocks),
+                                  np.int64(errors))
+        assert numpy == point
+        assert [type(getattr(numpy, name)) for name in (
+            "test_ebn0_db", "blocks", "block_errors", "bler", "ci_low",
+            "ci_high")] == [float, int, int, float, float, float]
+        curve = harness.BlerCurve("s", "l", None, 1, [])
+        assert (harness._csv("", [harness._sweep_row(curve, numpy)])
+                == harness._csv("", [harness._sweep_row(curve, point)]))
+
     def test_point_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            harness.BlerPoint(0.0, 10, 11, 1.0, 0.9, 1.0)
-        with pytest.raises(ValueError):
-            harness.BlerPoint(0.0, 10, 1, 0.1, 0.2, 0.3)
+        # errors > blocks, negative errors, no blocks, and float counts,
+        # which are rejected rather than truncated
+        for blocks, errors, error in (
+                (10, 11, ValueError), (10, -1, ValueError), (0, 0, ValueError),
+                (-5, 0, ValueError), (10, 2.5, TypeError), (2.5, 1, TypeError),
+                (np.float64(10.0), 1, TypeError)):
+            with pytest.raises(error):
+                harness.BlerPoint(0.0, blocks, errors)
 
     def test_curve_requires_sorted_unique_points(self):
-        a = harness.make_bler_point(0.0, 5, 100)
-        b = harness.make_bler_point(1.0, 5, 100)
+        a = harness.BlerPoint(0.0, 100, 5)
+        b = harness.BlerPoint(1.0, 100, 5)
         harness.BlerCurve("s", "l", None, 1, [a, b])
         with pytest.raises(ValueError):
             harness.BlerCurve("s", "l", None, 1, [b, a])
@@ -259,7 +289,7 @@ def whole_chunk_estimate(codebook, decode, spec, db, stop, seed_key):
             blocks += msgs.size
             errors = int(cums[-1])
         index += 1
-    return harness.make_bler_point(db, errors, blocks)
+    return harness.BlerPoint(db, blocks, errors)
 
 
 class TestSystems:
@@ -582,8 +612,8 @@ class TestSubstreamKeys:
         points = [harness.estimate_bler(system_for(seed), db, stop,
                                         (seed, "bler", key, format(db, "g")))
                   for seed in seeds]
-        return harness.make_bler_point(db, sum(p.block_errors for p in points),
-                                       sum(p.blocks for p in points))
+        return harness.BlerPoint(db, sum(p.blocks for p in points),
+                                 sum(p.block_errors for p in points))
 
     @staticmethod
     def small_config(**overrides):
@@ -679,25 +709,6 @@ class TestRobustness:
         assert [c.label for c in curves] == [
             "ae-awgn", "ae-corr-rho0.5", "ae-corr-rho0.9", "ae-rayleigh"
         ]
-
-
-class TestOverlapTable:
-    def test_matches_shift_metrics(self):
-        rows = harness.overlap_table(7.0, [-4.0, 8.0], 4 / 7)
-        for row in rows:
-            want = shiftmetrics.compare_received_distributions(
-                7.0, row.test_ebn0_db, 4 / 7
-            )
-            assert row == want
-
-    def test_train_equals_test_row(self):
-        (row,) = harness.overlap_table(7.0, [7.0], 4 / 7)
-        assert row.overlap == 1.0
-        assert row.kl_nats == 0.0
-
-    def test_rows_keep_requested_order(self):
-        rows = harness.overlap_table(7.0, [8.0, -4.0], 4 / 7)
-        assert [r.test_ebn0_db for r in rows] == [8.0, -4.0]
 
 
 class TestWidthSweep:
@@ -799,7 +810,8 @@ class TestEmitters:
         assert mld[-1] == ""
 
     def test_overlap_csv(self):
-        rows = harness.overlap_table(7.0, [-4.0, 0.0], 4 / 7)
+        rows = [shiftmetrics.compare_received_distributions(7.0, db, 4 / 7)
+                for db in (-4.0, 0.0)]
         lines = harness.overlap_to_csv(rows).splitlines()
         assert lines[0] == "test_ebn0_db,overlap_pct,kl_nats"
         assert len(lines) == 3
@@ -813,20 +825,27 @@ class TestEmitters:
     # hand-built rows: floats in repr form (0.1, 1e-05), an empty train
     # column on the baseline curves and an empty closed form for MLD
     AE = harness.BlerCurve("autoencoder", "ae-train+7dB", 7.0, 3, [
-        harness.BlerPoint(0.1, 100000, 1, 1e-05, 1.5e-06, 6e-05),
-        harness.BlerPoint(4.5, 2000, 200, 0.1, 0.0875, 0.114)])
+        harness.BlerPoint(0.1, 100000, 1), harness.BlerPoint(4.5, 2000, 200)])
     HARD = harness.BlerCurve("hamming_hard", "hamming-hard", None, 1, [
-        harness.BlerPoint(4.0, 20000, 200, 0.01, 0.0087, 0.0115)])
+        harness.BlerPoint(4.0, 20000, 200)])
     MLD = harness.BlerCurve("hamming_mld", "hamming-mld", None, 1, [
-        harness.BlerPoint(-4.0, 250, 200, 0.8, 0.75, 0.84)])
+        harness.BlerPoint(-4.0, 250, 200)])
+
+    @staticmethod
+    def interval(errors, blocks):
+        """The ci_low and ci_high fields the CSV writes for these counts."""
+        return ",".join(map(repr, harness.wilson_interval(errors, blocks)))
 
     def test_sweep_csv_bytes(self):
         assert harness.sweep_to_csv([self.AE, self.MLD]) == (
             "system,label,train_ebn0_db,test_ebn0_db,blocks,block_errors,"
             "bler,ci_low,ci_high,seed_count\n"
-            "autoencoder,ae-train+7dB,7.0,0.1,100000,1,1e-05,1.5e-06,6e-05,3\n"
-            "autoencoder,ae-train+7dB,7.0,4.5,2000,200,0.1,0.0875,0.114,3\n"
-            "hamming_mld,hamming-mld,,-4.0,250,200,0.8,0.75,0.84,1\n")
+            "autoencoder,ae-train+7dB,7.0,0.1,100000,1,1e-05,"
+            f"{self.interval(1, 100000)},3\n"
+            "autoencoder,ae-train+7dB,7.0,4.5,2000,200,0.1,"
+            f"{self.interval(200, 2000)},3\n"
+            "hamming_mld,hamming-mld,,-4.0,250,200,0.8,"
+            f"{self.interval(200, 250)},1\n")
 
     def test_baseline_csv_bytes(self):
         closed = codecs.hamming_hard_bler_closed_form(4.0)
@@ -834,9 +853,10 @@ class TestEmitters:
         assert harness.baseline_to_csv([self.HARD, self.MLD]) == (
             "system,label,train_ebn0_db,test_ebn0_db,blocks,block_errors,"
             "bler,ci_low,ci_high,seed_count,closed_form_bler\n"
-            f"hamming_hard,hamming-hard,,4.0,20000,200,0.01,0.0087,0.0115,1,"
-            f"{closed!r}\n"
-            "hamming_mld,hamming-mld,,-4.0,250,200,0.8,0.75,0.84,1,\n")
+            "hamming_hard,hamming-hard,,4.0,20000,200,0.01,"
+            f"{self.interval(200, 20000)},1,{closed!r}\n"
+            "hamming_mld,hamming-mld,,-4.0,250,200,0.8,"
+            f"{self.interval(200, 250)},1,\n")
 
     def test_overlap_csv_bytes(self):
         # the percent column is 100.0 * overlap: 0.001 -> 0.1, 1.0 -> 100.0

@@ -174,6 +174,25 @@ class TestMonteCarlo:
             shiftmetrics.overlap_monte_carlo(1.0, 1.0, 1, 0, substream(5, "mc"))
 
 
+INF = float("inf")
+
+
+# unchecked, an infinite variance fails in the closed forms' arithmetic
+# (inf - inf, inf * 0) or gives a KL of inf
+@pytest.mark.parametrize("call", [
+    lambda: shiftmetrics.overlap_same_mean_isotropic(INF, 1.0, 1),
+    lambda: shiftmetrics.overlap_same_mean_isotropic(1.0, INF, 7),
+    lambda: shiftmetrics.kl_same_mean(INF, 1.0),
+    lambda: shiftmetrics.kl_same_mean(1.0, INF),
+    lambda: shiftmetrics.overlap_monte_carlo(1.0, INF, 1, 100,
+                                             substream(6, "mc")),
+], ids=["overlap-a", "overlap-b-7d", "kl-a", "kl-b", "monte-carlo-b"])
+def test_infinite_variance_rejected(call):
+    with pytest.raises(ValueError,
+                       match=r"positive and finite, got sigma2_a=.*inf"):
+        call()
+
+
 class TestCompareReceivedDistributions:
     def test_equal_points_full_overlap(self):
         result = shiftmetrics.compare_received_distributions(7.0, 7.0, 4 / 7)
