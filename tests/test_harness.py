@@ -14,6 +14,7 @@ from scipy.stats import binomtest
 from aecomm import (ExperimentConfig, channels, codecs, harness, nn,
                     shiftmetrics)
 from aecomm.channels import ChannelSpec, transmit
+from aecomm.cli import run_command
 from aecomm.errors import (ConfigurationError, DegenerateCodewordError,
                            DivergenceError)
 from aecomm.harness import TILE_ROWS
@@ -709,6 +710,33 @@ class TestRobustness:
         assert [c.label for c in curves] == [
             "ae-awgn", "ae-corr-rho0.5", "ae-corr-rho0.9", "ae-rayleigh"
         ]
+
+
+class TestOverlapTable:
+    """The overlap command's table: overlap_to_csv of one
+    compare_received_distributions row per test point."""
+
+    @staticmethod
+    def table(tmp_path, test_db):
+        out = tmp_path / "run"
+        assert run_command(["overlap", "--quiet", "--train-db", "7",
+                            f"--test-db={test_db}", "--out", str(out)]) == 0
+        return (out / "overlap.csv").read_text()
+
+    def test_matches_shift_metrics(self, tmp_path):
+        want = [shiftmetrics.compare_received_distributions(7.0, db, 4 / 7)
+                for db in (-4.0, 8.0)]
+        assert self.table(tmp_path, "-4,8") == harness.overlap_to_csv(want)
+
+    def test_train_equals_test_row(self, tmp_path):
+        [row] = self.table(tmp_path, "7").splitlines()[1:]
+        _, overlap_pct, kl_nats = row.split(",")
+        assert float(overlap_pct) == 100.0
+        assert float(kl_nats) == 0.0
+
+    def test_rows_keep_requested_order(self, tmp_path):
+        lines = self.table(tmp_path, "8,-4").splitlines()[1:]
+        assert [line.split(",")[0] for line in lines] == ["8.0", "-4.0"]
 
 
 class TestWidthSweep:
