@@ -223,8 +223,7 @@ def train_autoencoder(config: ExperimentConfig, train_ebn0_db, seed):
     arrays in one ``nn.Workspace``, share one draw per step, each shaping
     it by its own channel spec, so every model is bit-identical to
     training it alone.  A numerical failure stops every model; it names
-    the failing model's train Eb/N0 and seed (every model's when unknown)
-    and the step.
+    the failing model's train Eb/N0 and seed and the step.
     """
     dbs = (train_ebn0_db if isinstance(train_ebn0_db, tuple)
            else (train_ebn0_db,))
@@ -237,11 +236,8 @@ def train_autoencoder(config: ExperimentConfig, train_ebn0_db, seed):
                               config.decoder_hidden)
 
     def failure(kind, text, step, k):
-        at, by = ((dbs, seeds) if k is None else
-                  ((dbs[k // len(seeds)],), (seeds[k % len(seeds)],)))
-        return kind(f"training at {', '.join(f'{db:g}' for db in at)} dB, "
-                    f"seed {', '.join(map(str, by))}: {text}",
-                    step=step, model=k)
+        return kind(f"training at {dbs[k // len(seeds)]:g} dB, "
+                    f"seed {seeds[k % len(seeds)]}: {text}", step=step, model=k)
 
     params = nn.ModelParams(layout, np.stack(
         [nn.init_params(layout, s).flat for _ in dbs for s in seeds]))
@@ -272,7 +268,7 @@ def train_autoencoder(config: ExperimentConfig, train_ebn0_db, seed):
                                                         noise, fade, work)
         except (DivergenceError, DegenerateCodewordError) as exc:
             raise failure(type(exc), exc, step, exc.model) from exc
-        params, state = nn.adam_step(params, grads, state)
+        nn.adam_step(params, grads, state)
         if not np.isfinite(params.flat).all():
             finite = np.isfinite(params.flat).all(axis=-1)
             raise failure(DivergenceError, "non-finite parameters after "

@@ -6,7 +6,9 @@ satisfies ||x||^2 = n exactly.  The receiver runs the noisy observation
 through two dense layers and a softmax over all messages.  The four layers
 are written out, forward and backward.  Backpropagation treats the channel
 as a pass-through (additive noise; the rayleigh fade scales the gradient)
-and differentiates the normalization as a projection.
+and differentiates the normalization as a projection.  Training and the
+gradient check work on a (models, P) stack of models, which Adam updates in
+place.
 
 Everything is float64 and deterministic given a seed.
 """
@@ -78,13 +80,13 @@ class ModelParams:
     """Trainable state of the encoder/decoder pair: a layout and one float64
     vector ``flat`` in checkpoint order (encoder first; per layer the weight
     row-major, then the bias).  ``flat`` may also be a (models, P) stack, one
-    model per row, which trains in lockstep; every array below then carries
-    the same leading model axis.
+    model per row, and every array below then carries the same leading model
+    axis; training and the gradient check take only a stack.
 
     ``encoder`` and ``decoder`` are tuples of DenseLayers whose arrays are
     views into ``flat``, derived from the layout; nothing can swap them out.
-    Treated as an immutable snapshot once training ends; update steps return
-    fresh instances.
+    ``adam_step`` writes a stack's ``flat`` in place, so the views follow
+    each step.
     """
 
     layout: NetworkLayout
@@ -196,17 +198,14 @@ def codebook(params: ModelParams) -> np.ndarray:
 
 
 def predict(params: ModelParams, received) -> np.ndarray:
-    """Argmax message index; accepts (n,) or (batch, n); lowest index wins
-    ties."""
+    """Argmax message index of each (rows, n) received word, with a leading
+    model axis on a stack; lowest index wins ties."""
     received = np.asarray(received, dtype=float)
-    if received.shape[-1] != params.channel_uses:
-        raise ValueError(
-            f"expected {params.channel_uses} channel values, got {received.shape}"
-        )
+    if received.ndim < 2 or received.shape[-1] != params.channel_uses:
+        raise ValueError(f"expected (rows, {params.channel_uses}) received "
+                         f"words, got shape {received.shape}")
     if not np.all(np.isfinite(received)):
         raise ValueError("decode input must be finite")
-    if received.ndim == 1:
-        return np.take(predict(params, received[None]), 0, axis=-1)
     # [..., None, :] lines a stack's (models, width) bias up with its
     # (models, rows, width) layer output
     (w3, b3), (w4, b4) = params.decoder
@@ -219,6 +218,10 @@ def predict(params: ModelParams, received) -> np.ndarray:
 
 
 def _check_batch(params, messages):
+    if params.flat.ndim != 2:
+        raise ValueError(
+            f"params.flat has shape {params.flat.shape}; a loss takes a "
+            f"(models, {params.layout.parameter_count}) stack")
     messages = np.asarray(messages)
     if messages.dtype.kind not in "iu":  # a cast would truncate 2.7 to 2
         raise ValueError(f"message indices must have an integer dtype, got "
@@ -232,38 +235,29 @@ def _check_batch(params, messages):
 
 
 def loss_and_gradients_given(params, messages, noise, fade=None, work=None):
-    """Loss and exact gradients for a fixed (noise, fade) realization; the
-    gradients are a ModelParams twin over a fresh vector.  A training loop
-    passes one ``Workspace`` to all its steps as ``work``; by default each
-    call uses its own.
+    """Losses and exact gradients of a (K, P) stack for a fixed (noise,
+    fade) realization; the gradients are a ModelParams twin over a fresh
+    (K, P) array.  A training loop passes one ``Workspace`` to all its steps
+    as ``work``; by default each call uses its own.
 
-    For one model the loss is a float.  For a (K, P) stack, messages (K,
-    batch), noise (K, batch, n) and fade (K, batch) carry the same leading
-    model axis and the losses come back as a (K,) array; each model's loss
-    and gradients equal those of its own call bit for bit.  A numerical
-    failure names the failing model's index as its ``model``.
+    Messages (K, batch), noise (K, batch, n) and fade (K, batch) carry the
+    stack's model axis, and the losses come back as a (K,) array; each
+    model's loss and gradients equal those of its stack of one bit for bit.
+    A 1-D ``flat`` raises ValueError.  A numerical failure names the failing
+    model's index as its ``model``.
     """
     return _loss_core(params, messages, noise, fade, True,
                       Workspace() if work is None else work)
 
 
 def _loss_core(params, messages, noise, fade, want_grads, work):
-    """One model runs as a stack of one.  The encoder runs once per model on
-    the M-row identity, as in codebook(), and a one-hot product gathers the
-    batch's codewords exactly.  The decoder, softmax and backprop run on
-    (models, width, batch) arrays, so a per-sample reduction is an
-    elementwise pass over a few contiguous rows; ReLU runs in place and the
-    backward mask reads its output.  The codeword gradient is summed per
-    message before it enters the normalization and the encoder, so those see
-    M rows, not the batch."""
-    if params.flat.ndim == 1:
-        loss, grads = _loss_core(
-            ModelParams(params.layout, params.flat[None]),
-            np.asarray(messages)[None], np.asarray(noise)[None],
-            None if fade is None else np.asarray(fade)[None], want_grads,
-            work)
-        return float(loss[0]), (
-            None if grads is None else ModelParams(params.layout, grads.flat[0]))
+    """The encoder runs once per model on the M-row identity, as in
+    codebook(), and a one-hot product gathers the batch's codewords exactly.
+    The decoder, softmax and backprop run on (models, width, batch) arrays,
+    so a per-sample reduction is an elementwise pass over a few contiguous
+    rows; ReLU runs in place and the backward mask reads its output.  The
+    codeword gradient is summed per message before it enters the
+    normalization and the encoder, so those see M rows, not the batch."""
     messages = _check_batch(params, messages)
     models, batch = messages.shape
     m, n = params.message_count, params.channel_uses
@@ -332,60 +326,64 @@ def _loss_core(params, messages, noise, fade, want_grads, work):
 
 def finite_difference_gradients(params, messages, noise,
                                 fade=None) -> ModelParams:
-    """Central-difference gradients of the fixed-realization loss.
+    """Central-difference gradients of a stack's fixed-realization losses.
 
-    Slow by construction: one loss pair per parameter entry, each on the
-    gradient-free path, which writes every workspace array it reads.  This
-    is the independent oracle for loss_and_gradients_given.
+    Slow by construction: one loss pair per parameter column, each on the
+    gradient-free path, which writes every workspace array it reads.  A
+    column's entry moves in every model at once, since no model's loss reads
+    another's row.  This is the independent oracle for
+    loss_and_gradients_given.
     """
     probe, work = params.copy(), Workspace()
     grads = ModelParams(params.layout, np.zeros_like(params.flat))
-    for i in range(probe.flat.size):
-        saved = probe.flat[i]
-        probe.flat[i] = saved + _FD_STEP
+    for j in range(probe.flat.shape[-1]):
+        saved = probe.flat[..., j].copy()
+        probe.flat[..., j] = saved + _FD_STEP
         up, _ = _loss_core(probe, messages, noise, fade, False, work)
-        probe.flat[i] = saved - _FD_STEP
+        probe.flat[..., j] = saved - _FD_STEP
         down, _ = _loss_core(probe, messages, noise, fade, False, work)
-        probe.flat[i] = saved
-        grads.flat[i] = (up - down) / (2.0 * _FD_STEP)
+        probe.flat[..., j] = saved
+        grads.flat[..., j] = (up - down) / (2.0 * _FD_STEP)
     return grads
 
 
 def gradient_check_case(params, messages, noise, fade=None) -> float:
-    """Worst relative error of backprop against central differences.
+    """Worst relative error of backprop against central differences over
+    the models of a stack.
 
     Entries are compared at scale max(|analytic|, |numeric|, 1e-3 * gmax)
-    where gmax is the largest gradient magnitude in the model, so entries
-    near zero cannot inflate the ratio past finite-difference noise while
-    any entry of consequential size is still checked individually.
+    where gmax is the largest gradient magnitude in the entry's model, so
+    entries near zero cannot inflate the ratio past finite-difference noise
+    while any entry of consequential size is still checked individually.
     """
     _, analytic = loss_and_gradients_given(params, messages, noise, fade)
     numeric = finite_difference_gradients(params, messages, noise, fade)
-    a, b = analytic.flat, numeric.flat
-    gmax = max(np.abs(a).max(), np.abs(b).max())
-    scale = np.maximum(np.maximum(np.abs(a), np.abs(b)),
-                       max(1e-3 * gmax, 1e-12))
-    return float((np.abs(a - b) / scale).max())
+    a, b = np.abs(analytic.flat), np.abs(numeric.flat)
+    gmax = np.maximum(a.max(axis=-1), b.max(axis=-1))[:, None]
+    scale = np.maximum(np.maximum(a, b), np.maximum(1e-3 * gmax, 1e-12))
+    return float((np.abs(analytic.flat - numeric.flat) / scale).max())
 
 
 def gradient_check(seed: int = 0, cases: int = 10) -> float:
     """Max relative error over random configurations.
 
     Cases cycle through noise scales from zero upward, alternate plain
-    additive noise with faded batches, and alternate two decoder widths.
+    additive noise with faded batches, and alternate two decoder widths;
+    each case checks a stack of one model.
     """
     rng = substream(seed, "gradcheck")
     sigmas = (0.0, 0.05, 0.2, 0.6, 1.0)
     worst = 0.0
     for case in range(cases):
         layout = NetworkLayout(decoder_hidden=16 if case % 2 == 0 else 12)
-        params = init_params(layout, 1000 * seed + case)
-        messages = rng.integers(0, params.message_count, _GRADCHECK_BATCH)
+        params = ModelParams(layout,
+                             init_params(layout, 1000 * seed + case).flat[None])
+        messages = rng.integers(0, layout.message_count, (1, _GRADCHECK_BATCH))
         noise = sigmas[case % len(sigmas)] * rng.standard_normal(
-            (_GRADCHECK_BATCH, params.channel_uses))
+            (1, _GRADCHECK_BATCH, layout.channel_uses))
         fade = None
         if case % 2 == 1:
-            fade = rng.rayleigh(scale=np.sqrt(0.5), size=_GRADCHECK_BATCH)
+            fade = rng.rayleigh(scale=np.sqrt(0.5), size=(1, _GRADCHECK_BATCH))
         worst = max(worst, gradient_check_case(params, messages, noise, fade))
     return worst
 
@@ -393,7 +391,7 @@ def gradient_check(seed: int = 0, cases: int = 10) -> float:
 @dataclass
 class AdamState:
     """Adam accumulators, laid out like ``ModelParams.flat`` (one row per
-    model on a stack)."""
+    model on a stack); ``adam_step`` updates them in place."""
 
     first_moment: np.ndarray
     second_moment: np.ndarray
@@ -417,31 +415,28 @@ class AdamState:
 
 
 def adam_step(params: ModelParams, grads: ModelParams, state: AdamState):
-    """One bias-corrected Adam update; returns (new_params, new_state) and
-    leaves its inputs untouched.  Elementwise, so the models of a stack
-    update exactly as they would alone."""
+    """One bias-corrected Adam update, in place: ``params.flat``, both
+    moments and ``state.step`` take their new values.  Elementwise, so the
+    models of a stack update exactly as they would alone."""
     if grads.layout != params.layout or grads.flat.shape != params.flat.shape:
         raise ConfigurationError("gradient layout does not match parameter layout")
-    t = state.step + 1
-    b1, b2 = state.beta1, state.beta2
-    lr, eps = state.learning_rate, state.epsilon
-    g = grads.flat
+    state.step += 1
+    t, b1, b2 = state.step, state.beta1, state.beta2
+    g, m, v = grads.flat, state.first_moment, state.second_moment
     # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
     # flat - lr m_hat / (sqrt(v_hat) + eps), each product and sum in that
-    # order, built up in the fresh arrays that are returned
-    m = b1 * state.first_moment
+    # order
+    m *= b1
     m += (1.0 - b1) * g
-    v = np.square(g)
-    v *= 1.0 - b2
-    v += b2 * state.second_moment
+    v *= b2
+    v += np.square(g) * (1.0 - b2)
     update = m / (1.0 - b1**t)
-    update *= lr
+    update *= state.learning_rate
     denom = v / (1.0 - b2**t)
     np.sqrt(denom, out=denom)
-    denom += eps
+    denom += state.epsilon
     update /= denom
-    return (ModelParams(params.layout, params.flat - update),
-            AdamState(m, v, t, lr, b1, b2, eps))
+    np.subtract(params.flat, update, out=params.flat)
 
 
 # -- checkpoint file format ---------------------------------------------------

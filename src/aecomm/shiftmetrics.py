@@ -44,16 +44,18 @@ def overlap_same_mean_isotropic(sigma2_a: float, sigma2_b: float, dimension: int
     The density ratio depends only on the radius, so the shared mass follows
     from the chi-square law of r^2/sigma^2 at the crossover radius r*.  With
     t = ln(hi/lo) for variances lo < hi, r*^2/hi = d t e^-t / (1 - e^-t) and
-    r*^2/lo = d t / (1 - e^-t); neither overflows.
+    r*^2/lo = d t / (1 - e^-t); neither overflows.  Variances with equal
+    logs overlap fully, and the two masses, each rounded on its own, can sum
+    past 1 for nearly equal ones, so the sum is capped at 1.
     """
     _check(sigma2_a, sigma2_b, dimension)
-    if sigma2_a == sigma2_b:
-        return 1.0
     t = abs(np.log(sigma2_a) - np.log(sigma2_b))
+    if t == 0.0:
+        return 1.0
     gap = -np.expm1(-t)  # 1 - lo/hi
     wide_inside = chi_square_cdf(dimension * t * np.exp(-t) / gap, dimension)
     narrow_outside = 1.0 - chi_square_cdf(dimension * t / gap, dimension)
-    return float(wide_inside + narrow_outside)
+    return min(1.0, float(wide_inside + narrow_outside))
 
 
 def kl_same_mean(sigma2_a: float, sigma2_b: float, dimension: int = 1) -> float:

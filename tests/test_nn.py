@@ -32,6 +32,13 @@ def zeros_twin(params):
     return nn.ModelParams(params.layout, np.zeros_like(params.flat))
 
 
+def one(params, *batch):
+    """A model as a stack of one, followed by its batch arrays with the
+    model axis added (a None fade stays None)."""
+    return (stack([params]),) + tuple(
+        None if a is None else np.asarray(a)[None] for a in batch)
+
+
 def fitted_decoder(params, scale=None):
     """A copy whose decoder maps every clean codeword to its message with a
     large logit margin: hidden_j = scale * <y, c_j>, logits = hidden."""
@@ -146,7 +153,8 @@ class TestDecode:
         cb = nn.codebook(quick_model)
         for y in substream(1, "dec").standard_normal((8, 7)):
             posterior = [np.exp(-nn.loss_and_gradients_given(
-                quick_model, [m], (y - cb[m])[None])[0]) for m in range(16)]
+                *one(quick_model, [m], (y - cb[m])[None]))[0][0])
+                for m in range(16)]
             assert abs(sum(posterior) - 1.0) <= 1e-12
 
     def test_zero_decoder_gives_uniform(self):
@@ -154,20 +162,23 @@ class TestDecode:
         for layer in params.decoder:
             layer.weight[...] = 0.0
         noise = substream(4, "dec").standard_normal((16, 7))
-        loss, _ = nn.loss_and_gradients_given(params, np.arange(16), noise)
-        assert loss == pytest.approx(np.log(16.0), rel=0, abs=1e-15)
+        loss, _ = nn.loss_and_gradients_given(*one(params, np.arange(16),
+                                                   noise))
+        assert loss[0] == pytest.approx(np.log(16.0), rel=0, abs=1e-15)
 
     def test_predict_tie_break_lowest_index(self):
         params = nn.init_params(nn.NetworkLayout(), 0)
         for layer in params.decoder:
             layer.weight[...] = 0.0
-        assert nn.predict(params, np.ones(7)) == 0
+        assert nn.predict(params, np.ones((3, 7))).tolist() == [0, 0, 0]
 
     def test_nonfinite_input_rejected(self, quick_model):
-        with pytest.raises(ValueError):
-            nn.predict(quick_model, np.full(7, np.nan))
-        with pytest.raises(ValueError):
-            nn.predict(quick_model, np.ones((3, 6)))
+        with pytest.raises(ValueError, match="finite"):
+            nn.predict(quick_model, np.full((2, 7), np.nan))
+        # a word of the wrong length, and a lone word without its rows axis
+        for received in (np.ones((3, 6)), np.ones(7)):
+            with pytest.raises(ValueError, match=r"expected \(rows, 7\)"):
+                nn.predict(quick_model, received)
 
     def test_noiseless_round_trip(self, quick_model):
         cb = nn.codebook(quick_model)
@@ -249,31 +260,32 @@ class TestLossAndGradients:
         fade = None
         if faded:
             fade = substream(batch, "fade").rayleigh(np.sqrt(0.5), size=batch)
-        loss, grads = nn.loss_and_gradients_given(params, messages, noise,
-                                                  fade)
+        batch = one(params, messages, noise, fade)
+        loss, grads = nn.loss_and_gradients_given(*batch)
         want_loss, want = batch_major_loss_and_gradients(params, messages,
                                                          noise, fade)
-        assert loss == pytest.approx(want_loss, rel=1e-12, abs=0)
+        assert loss[0] == pytest.approx(want_loss, rel=1e-12, abs=0)
         # the gradient-free path, as the finite-difference oracle runs it
-        free, _ = nn._loss_core(params, messages, noise, fade, False,
-                                nn.Workspace())
+        free, _ = nn._loss_core(*batch, False, nn.Workspace())
         assert free == loss
         scale = np.abs(want).max()
         assert scale > 0.0
-        assert np.allclose(grads.flat, want, rtol=1e-12, atol=1e-12 * scale)
+        assert np.allclose(grads.flat[0], want, rtol=1e-12,
+                           atol=1e-12 * scale)
 
     def test_matches_finite_differences(self):
         for case in range(2):
             params = nn.init_params(nn.NetworkLayout(), 20 + case)
             messages, noise = small_batch(params, size=4, sigma=0.5, key=case)
-            err = nn.gradient_check_case(params, messages, noise)
+            err = nn.gradient_check_case(*one(params, messages, noise))
             assert err < 1e-4
 
     def test_matches_finite_differences_with_fade(self):
         params = nn.init_params(nn.NetworkLayout(), 30)
         messages, noise = small_batch(params, size=4, sigma=0.3, key=9)
         fade = substream(9, "fade").rayleigh(np.sqrt(0.5), size=4)
-        assert nn.gradient_check_case(params, messages, noise, fade) < 1e-4
+        assert nn.gradient_check_case(*one(params, messages, noise,
+                                           fade)) < 1e-4
 
     def test_gradient_check_full(self):
         assert nn.gradient_check(seed=1, cases=4) < 1e-4
@@ -283,22 +295,26 @@ class TestLossAndGradients:
         messages, noise = small_batch(params, size=6, sigma=0.4, key=3)
         doubled_m = np.concatenate([messages, messages])
         doubled_n = np.concatenate([noise, noise])
-        loss_a, grads_a = nn.loss_and_gradients_given(params, messages, noise)
-        loss_b, grads_b = nn.loss_and_gradients_given(params, doubled_m, doubled_n)
-        assert loss_a == pytest.approx(loss_b, rel=1e-12)
+        loss_a, grads_a = nn.loss_and_gradients_given(*one(params, messages,
+                                                           noise))
+        loss_b, grads_b = nn.loss_and_gradients_given(*one(params, doubled_m,
+                                                           doubled_n))
+        assert loss_a[0] == pytest.approx(loss_b[0], rel=1e-12)
         assert np.allclose(grads_a.flat, grads_b.flat, atol=1e-12)
 
     def test_interpolation_loss_near_zero(self, quick_model):
         fitted = fitted_decoder(quick_model)
         messages = np.array([3])
         noise = np.zeros((1, 7))
-        assert nn.loss_and_gradients_given(fitted, messages, noise)[0] < 1e-6
+        assert nn.loss_and_gradients_given(
+            *one(fitted, messages, noise))[0][0] < 1e-6
 
     def test_interpolation_all_messages(self, quick_model):
         fitted = fitted_decoder(quick_model)
         messages = np.arange(16)
         noise = np.zeros((16, 7))
-        assert nn.loss_and_gradients_given(fitted, messages, noise)[0] < 1e-6
+        assert nn.loss_and_gradients_given(
+            *one(fitted, messages, noise))[0][0] < 1e-6
 
     def test_divergence_on_underflowing_posterior(self, quick_model):
         fitted = fitted_decoder(quick_model, scale=2000.0)
@@ -307,75 +323,87 @@ class TestLossAndGradients:
         messages = np.arange(16)
         noise = np.zeros((16, 7))
         with pytest.raises(DivergenceError):
-            nn.loss_and_gradients_given(fitted, messages, noise)
+            nn.loss_and_gradients_given(*one(fitted, messages, noise))
 
     def test_bad_batch_rejected(self, quick_model):
-        with pytest.raises(ValueError):
-            nn.loss_and_gradients_given(quick_model, np.array([16]),
-                                        np.zeros((1, 7)))
-        with pytest.raises(ValueError):
-            nn.loss_and_gradients_given(
-                quick_model, np.array([], dtype=int), np.zeros((0, 7))
-            )
+        with pytest.raises(ValueError, match="out of range"):
+            nn.loss_and_gradients_given(*one(quick_model, np.array([16]),
+                                             np.zeros((1, 7))))
+        with pytest.raises(ValueError, match="non-empty"):
+            nn.loss_and_gradients_given(*one(
+                quick_model, np.array([], dtype=int), np.zeros((0, 7))))
+
+    @pytest.mark.parametrize("check", [
+        nn.loss_and_gradients_given, nn.finite_difference_gradients,
+        nn.gradient_check_case])
+    def test_single_model_rejected(self, quick_model, check):
+        # training and the gradient check take a (models, P) stack only
+        messages, noise = small_batch(quick_model)
+        with pytest.raises(ValueError,
+                           match=r"shape \(791,\); a loss takes a "
+                                 r"\(models, 791\) stack"):
+            check(quick_model, messages, noise)
 
     @pytest.mark.parametrize("messages", [[2.7, 5.2], [2.0, 5.0], [True, False]],
                              ids=["fractional", "integral-float", "bool"])
     def test_non_integer_indices_rejected(self, quick_model, messages):
-        noise = np.zeros((2, 7))
+        noise = np.zeros((1, 2, 7))
         with pytest.raises(ValueError, match="integer dtype"):
-            nn.loss_and_gradients_given(quick_model, messages, noise)
+            nn.loss_and_gradients_given(stack([quick_model]), [messages],
+                                        noise)
 
     def test_integer_indices_of_any_width_accepted(self, quick_model):
-        messages = substream(0, "nn-test").integers(0, 16, 8)
-        noise = np.zeros((8, 7))
-        want, want_grads = nn.loss_and_gradients_given(quick_model, messages,
-                                                       noise)
+        model = stack([quick_model])
+        messages = substream(0, "nn-test").integers(0, 16, (1, 8))
+        noise = np.zeros((1, 8, 7))
+        want, want_grads = nn.loss_and_gradients_given(model, messages, noise)
         for same in (messages.astype(np.int32), messages.astype(np.uint8),
                      messages.tolist()):
-            loss, grads = nn.loss_and_gradients_given(quick_model, same,
-                                                      noise)
-            assert loss == want
+            loss, grads = nn.loss_and_gradients_given(model, same, noise)
+            assert np.array_equal(loss, want)
             assert np.array_equal(grads.flat, want_grads.flat)
 
 
 class TestAdam:
     def test_zero_gradient_fixed_point(self):
-        params = nn.init_params(nn.NetworkLayout(), 6)
+        params = stack([nn.init_params(nn.NetworkLayout(), 6)])
+        before = params.flat.copy()
         state = nn.AdamState.for_params(params)
-        updated, new_state = nn.adam_step(params, zeros_twin(params), state)
-        assert np.array_equal(params.flat, updated.flat)
-        assert new_state.step == 1
+        nn.adam_step(params, zeros_twin(params), state)
+        assert np.array_equal(params.flat, before)
+        assert state.step == 1
 
     def test_opposite_gradients_negate_deltas(self):
-        params = nn.init_params(nn.NetworkLayout(), 7)
-        state = nn.AdamState.for_params(params)
-        grads = nn.init_params(nn.NetworkLayout(), 8)  # arbitrary values
-        up, _ = nn.adam_step(params, grads, state)
+        params = stack([nn.init_params(nn.NetworkLayout(), 7)])
+        grads = stack([nn.init_params(nn.NetworkLayout(), 8)])  # arbitrary
         neg = nn.ModelParams(grads.layout, -grads.flat)
-        down, _ = nn.adam_step(params, neg, state)
+        up, down = params.copy(), params.copy()
+        nn.adam_step(up, grads, nn.AdamState.for_params(up))
+        nn.adam_step(down, neg, nn.AdamState.for_params(down))
         # deltas reconstructed from the updated parameters carry one ulp of
         # rounding from the add, so compare tightly rather than bitwise
         assert np.allclose(up.flat - params.flat, -(down.flat - params.flat),
                            rtol=0, atol=1e-12)
 
     def test_first_step_unit_gradient_delta(self):
-        params = nn.init_params(nn.NetworkLayout(), 9)
-        state = nn.AdamState.for_params(params, learning_rate=1e-3)
+        params = stack([nn.init_params(nn.NetworkLayout(), 9)])
+        updated = params.copy()
+        state = nn.AdamState.for_params(updated, learning_rate=1e-3)
         ones = nn.ModelParams(params.layout, np.ones_like(params.flat))
-        updated, _ = nn.adam_step(params, ones, state)
+        nn.adam_step(updated, ones, state)
         assert np.all(np.abs((updated.flat - params.flat) + 1e-3) < 1e-9)
 
     def test_step_counter_increments(self):
-        params = nn.init_params(nn.NetworkLayout(), 10)
+        params = stack([nn.init_params(nn.NetworkLayout(), 10)])
         state = nn.AdamState.for_params(params)
         g = zeros_twin(params)
         for want in (1, 2, 3):
-            params, state = nn.adam_step(params, g, state)
+            assert nn.adam_step(params, g, state) is None
             assert state.step == want
 
     def test_shape_mismatch_rejected(self):
-        params = nn.init_params(nn.NetworkLayout(), 11)
-        other = nn.init_params(nn.NetworkLayout(decoder_hidden=8), 11)
+        params = stack([nn.init_params(nn.NetworkLayout(), 11)])
+        other = stack([nn.init_params(nn.NetworkLayout(decoder_hidden=8), 11)])
         state = nn.AdamState.for_params(params)
         with pytest.raises(ConfigurationError):
             nn.adam_step(params, other, state)
@@ -524,25 +552,30 @@ def reference_adam(p_arrays, g_arrays, m_arrays, v_arrays, t,
 
 
 def assert_packed(params):
-    """Every layer array is the next slice of params.flat."""
+    """Every layer array of a model or a stack of one is the next slice of
+    params.flat."""
     arrays = layer_arrays(params)
     assert all(np.shares_memory(a, params.flat) for a in arrays)
     assert np.array_equal(np.concatenate([a.ravel() for a in arrays]),
-                          params.flat)
+                          params.flat.ravel())
 
 
 class TestFlatBuffer:
     def test_layer_arrays_are_views_into_flat(self, quick_model, tmp_path):
-        params = nn.init_params(nn.NetworkLayout(decoder_hidden=12), 4)
-        messages, noise = small_batch(params)
+        single = nn.init_params(nn.NetworkLayout(decoder_hidden=12), 4)
+        messages, noise = small_batch(single)
+        params, messages, noise = one(single, messages, noise)
         _, grads = nn.loss_and_gradients_given(params, messages, noise)
-        state = nn.AdamState.for_params(params)
-        updated, _ = nn.adam_step(params, grads, state)
+        updated = params.copy()
+        flat = updated.flat
+        nn.adam_step(updated, grads, nn.AdamState.for_params(updated))
+        assert updated.flat is flat  # the step wrote the views' buffer
         nn.save_checkpoint(quick_model, tmp_path / "model.ckpt")
         loaded = nn.load_checkpoint(tmp_path / "model.ckpt")
-        numeric = nn.finite_difference_gradients(params, messages[:2],
-                                                 noise[:2])
-        for p in (params, params.copy(), grads, updated, loaded, numeric):
+        numeric = nn.finite_difference_gradients(params, messages[:, :2],
+                                                 noise[:, :2])
+        for p in (single, params, params.copy(), grads, updated, loaded,
+                  numeric):
             assert_packed(p)
         assert not np.shares_memory(params.copy().flat, params.flat)
 
@@ -571,9 +604,9 @@ class TestFlatBuffer:
         assert path.read_bytes()[header:] == body
 
     def test_gradient_buffers_not_aliased(self):
-        params = nn.init_params(nn.NetworkLayout(), 13)
-        m1, n1 = small_batch(params, key=1)
-        m2, n2 = small_batch(params, key=2)
+        single = nn.init_params(nn.NetworkLayout(), 13)
+        params, m1, n1 = one(single, *small_batch(single, key=1))
+        _, m2, n2 = one(single, *small_batch(single, key=2))
         _, first = nn.loss_and_gradients_given(params, m1, n1)
         kept = first.flat.copy()
         _, second = nn.loss_and_gradients_given(params, m2, n2)
@@ -583,30 +616,33 @@ class TestFlatBuffer:
         assert not np.array_equal(first.flat, second.flat)
 
     def test_adam_matches_per_array_reference(self):
-        params = nn.init_params(nn.NetworkLayout(), 14)
+        # in place on a 3-model stack, bit for bit against Adam written out
+        # per model and layer with fresh arrays
+        models = [nn.init_params(nn.NetworkLayout(), seed)
+                  for seed in (14, 15, 16)]
+        params = stack(models)
+        flat = params.flat
         state = nn.AdamState.for_params(params)
-        ref_p = [a.copy() for a in layer_arrays(params)]
-        ref_m = [np.zeros_like(a) for a in ref_p]
-        ref_v = [np.zeros_like(a) for a in ref_p]
+        ref = [([a.copy() for a in layer_arrays(p)],
+                [np.zeros_like(a) for a in layer_arrays(p)],
+                [np.zeros_like(a) for a in layer_arrays(p)]) for p in models]
         for t in (1, 2, 3):
-            messages, noise = small_batch(params, size=8, key=t)
+            messages, noise = (np.stack(parts) for parts in zip(*(
+                small_batch(p, size=8, key=10 * t + k)
+                for k, p in enumerate(models))))
             _, grads = nn.loss_and_gradients_given(params, messages, noise)
-            inputs = [params.flat.copy(), grads.flat.copy(),
-                      state.first_moment.copy(), state.second_moment.copy()]
-            new_params, new_state = nn.adam_step(params, grads, state)
-            untouched = [params.flat, grads.flat, state.first_moment,
-                         state.second_moment]
-            for before, after in zip(inputs, untouched):
-                assert np.array_equal(before, after)
-            ref_p, ref_m, ref_v = reference_adam(
-                ref_p, layer_arrays(grads), ref_m, ref_v, t)
-            for got, want in zip(layer_arrays(new_params), ref_p):
-                assert np.array_equal(got, want)
-            assert np.array_equal(new_state.first_moment,
-                                  np.concatenate([a.ravel() for a in ref_m]))
-            assert np.array_equal(new_state.second_moment,
-                                  np.concatenate([a.ravel() for a in ref_v]))
-            params, state = new_params, new_state
+            nn.adam_step(params, grads, state)
+            assert params.flat is flat and state.step == t
+            for k in range(len(models)):
+                ref_p, ref_m, ref_v = ref[k] = reference_adam(
+                    ref[k][0], [a[k] for a in layer_arrays(grads)],
+                    ref[k][1], ref[k][2], t)
+                for got, want in zip(layer_arrays(params), ref_p):
+                    assert np.array_equal(got[k], want)
+                for got, want in ((state.first_moment[k], ref_m),
+                                  (state.second_moment[k], ref_v)):
+                    assert np.array_equal(
+                        got, np.concatenate([a.ravel() for a in want]))
 
 
 def stack(models):
@@ -666,11 +702,11 @@ class TestModelStack:
         assert losses.shape == (3,)
         assert grads.flat.shape == (3, models[0].flat.size)
         for k, (params, batch) in enumerate(zip(models, batches)):
-            loss, want = nn.loss_and_gradients_given(params, *batch)
-            assert losses[k] == loss
-            assert np.array_equal(grads.flat[k], want.flat)
+            loss, want = nn.loss_and_gradients_given(*one(params, *batch))
+            assert losses[k] == loss[0]
+            assert np.array_equal(grads.flat[k], want.flat[0])
             assert nn._loss_core(stack(models), messages, noise, fade, False,
-                                 nn.Workspace())[0][k] == loss
+                                 nn.Workspace())[0][k] == loss[0]
 
     @pytest.mark.parametrize("rows", [3, 5])
     def test_stacked_predict_and_codebook_equal_per_model_calls(self, rows):
@@ -690,8 +726,6 @@ class TestModelStack:
         for k, params in enumerate(models):
             assert np.array_equal(labels[k], nn.predict(params, received))
             assert np.array_equal(codebooks[k], nn.codebook(params))
-            assert nn.predict(stacked, received[0])[k] == nn.predict(
-                params, received[0])
 
     def test_stacked_adam_equals_per_model_steps(self):
         models, batches = self.stacked_inputs(nn.NetworkLayout(), False)
@@ -699,14 +733,16 @@ class TestModelStack:
         _, grads = nn.loss_and_gradients_given(
             stacked, *(np.stack(p) for p in list(zip(*batches))[:2]))
         state = nn.AdamState.for_params(stacked)
-        new, new_state = nn.adam_step(stacked, grads, state)
+        nn.adam_step(stacked, grads, state)
         for k, params in enumerate(models):
-            alone, alone_state = nn.adam_step(
-                params, nn.ModelParams(params.layout, grads.flat[k]),
-                nn.AdamState.for_params(params))
-            assert np.array_equal(new.flat[k], alone.flat)
-            assert np.array_equal(new_state.second_moment[k],
-                                  alone_state.second_moment)
+            alone = stack([params])
+            alone_state = nn.AdamState.for_params(alone)
+            nn.adam_step(alone, nn.ModelParams(params.layout,
+                                               grads.flat[k:k + 1]),
+                         alone_state)
+            assert np.array_equal(stacked.flat[k], alone.flat[0])
+            assert np.array_equal(state.second_moment[k],
+                                  alone_state.second_moment[0])
         with pytest.raises(ConfigurationError):
             nn.adam_step(stacked, nn.ModelParams(stacked.layout,
                                                  grads.flat[0]), state)
