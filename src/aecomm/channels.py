@@ -46,11 +46,8 @@ def noise_variance(ebn0_db: float, rate: float) -> float:
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """One channel configuration: kind, operating point, and rate.
-
-    ``rho`` only applies to the correlated kind.  The rayleigh fade is one
-    scalar per transmitted block.
-    """
+    """One channel configuration: kind, operating point, rate, and the
+    correlated kind's rho.  The rayleigh fade is one scalar per block."""
 
     kind: str = "awgn"
     ebn0_db: float = 7.0
@@ -66,6 +63,9 @@ class ChannelSpec:
             raise ConfigurationError(f"rate must be in (0, 1], got {self.rate}")
         if not 0.0 <= self.rho < 1.0:
             raise ConfigurationError(f"rho must be in [0, 1), got {self.rho}")
+        if self.rho and self.kind != "correlated_awgn":
+            raise ConfigurationError(
+                f"rho must be 0 unless kind is correlated_awgn, got {self.rho}")
         self.sigma2  # computed on construction, so a bad Eb/N0 fails here
 
     @cached_property

@@ -4,8 +4,9 @@ robustness subcommands over a sectioned key=value config file.
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure.
 Every artifact-producing run writes its outputs under --out only after its
 work has succeeded: each output in order, then config.cfg, then a
-manifest.json recording the config snapshot, seeds, timestamps, and a
-sha256 digest per emitted file.  A run that fails in its work writes nothing.
+manifest.json recording the config snapshot, the Eb/N0 flags, seeds,
+timestamps, and a sha256 digest per emitted file.  Each file is replaced
+whole and takes the umask's mode.  A run that fails in its work writes nothing.
 """
 
 import argparse
@@ -13,8 +14,8 @@ import hashlib
 import json
 import math
 import os
+import secrets
 import sys
-import tempfile
 from dataclasses import replace
 from datetime import datetime, timezone
 
@@ -43,24 +44,20 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _digest(data: bytes) -> str:
-    return "sha256:" + hashlib.sha256(data).hexdigest()
-
-
-def _atomic_write(path, data: bytes):
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory,
-                               prefix=os.path.basename(path) + ".")
+def _write(path, data, say) -> str:
+    """Replace ``path`` whole with ``data``; print it, return the digest."""
+    data = data.encode("utf-8") if isinstance(data, str) else data
+    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    fh = open(tmp, "xb")  # exclusive, so no planted symlink; umask's mode
     try:
-        with os.fdopen(fd, "wb") as fh:
+        with fh:
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        os.unlink(tmp)
         raise
+    say(f"wrote {path}")
+    return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
 def _parse_db_list(text, config):
@@ -157,30 +154,30 @@ def _cmd_robustness(args, config, say):
 
 
 def _write_run(args, config, outputs, started_utc, say):
-    """Write each output, then config.cfg, then manifest.json: the snapshot,
-    seeds, timestamps and a sha256 digest per file."""
-    def put(name, data):
-        data = data.encode("utf-8") if isinstance(data, str) else data
-        path = os.path.join(args.out, name)
-        _atomic_write(path, data)
-        say(f"wrote {path}")
-        return _digest(data)
-
+    """Write the outputs, config.cfg and manifest.json, in that order."""
     os.makedirs(args.out, exist_ok=True)
     snapshot = serialize_config(config)
-    digests = {name: put(name, data)
+    digests = {name: _write(os.path.join(args.out, name), data, say)
                for name, data in {**outputs, "config.cfg": snapshot}.items()}
+    arguments = {}
+    if "train_db" in args:  # JSON has no infinity: zero noise is "inf"
+        db = args.train_db
+        arguments["train_db"] = db if math.isfinite(db) else "inf"
+    if "test_db" in args:
+        arguments["test_db"] = list(_parse_db_list(args.test_db, config))
     manifest = {
         "tool": "aecomm",
         "version": _VERSION,
         "command": args.command,
+        "arguments": arguments,
         "seeds": list(config.seeds),
         "started_utc": started_utc,
         "finished_utc": _utc_now(),
         "config": snapshot,
         "outputs": digests,
     }
-    put("manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write(os.path.join(args.out, "manifest.json"),
+           json.dumps(manifest, indent=2, sort_keys=True) + "\n", say)
 
 
 # -- wiring -------------------------------------------------------------------

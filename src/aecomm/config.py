@@ -102,6 +102,8 @@ class ExperimentConfig:
                 f"must be one of {CHANNEL_KINDS}")
         require(0 < self.rate <= 1, "rate", f"must be in (0, 1], got {self.rate}")
         require(0.0 <= self.rho < 1.0, "rho", f"must be in [0, 1), got {self.rho}")
+        require(self.rho == 0 or self.channel_kind == "correlated_awgn", "rho",
+                f"must be 0 unless kind is correlated_awgn, got {self.rho}")
         require(0 < self.learning_rate < np.inf, "learning_rate",
                 "must be positive and finite")
         require(0 < self.beta1 < 1, "beta1", "must be in (0, 1)")

@@ -6,6 +6,7 @@ import pytest
 
 from aecomm import channels
 from aecomm.channels import (
+    CHANNEL_KINDS,
     ChannelSpec,
     correlation_factor,
     draw_disturbance,
@@ -108,6 +109,14 @@ class TestChannelSpec:
             ChannelSpec(kind="correlated_awgn", rho=1.0)
         with pytest.raises(ConfigurationError):
             ChannelSpec(kind="correlated_awgn", rho=-0.1)
+
+    def test_rho_only_on_the_correlated_kind(self):
+        # the other kinds would ignore it and draw rho = 0 noise
+        for kind in ("awgn", "rayleigh"):
+            with pytest.raises(ConfigurationError, match="rho must be 0"):
+                ChannelSpec(kind, 4.0, 4 / 7, rho=0.5)
+        for kind in CHANNEL_KINDS:
+            assert ChannelSpec(kind, 4.0, 4 / 7, rho=0.0).rho == 0.0
 
     def test_nan_ebn0_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -274,6 +274,15 @@ class TestOverlap:
         for name, digest in manifest["outputs"].items():
             assert file_digest(out / name) == digest
 
+    def test_manifest_records_the_train_and_test_points(self, tmp_path):
+        # overlap.csv names only the test points, and the snapshot holds the
+        # sweep's train grid, not --train-db
+        out = tmp_path / "run"
+        assert run_command(["overlap", "--quiet", "--train-db", "5",
+                            "--test-db", "0,8", "--out", str(out)]) == 0
+        assert read_manifest(out)["arguments"] == {"train_db": 5.0,
+                                                   "test_db": [0.0, 8.0]}
+
     def test_quiet_suppresses_stdout(self, tmp_path, capsys):
         assert run_command(["overlap", "--quiet",
                             "--out", str(tmp_path / "q")]) == 0
@@ -345,6 +354,10 @@ class TestTrain:
         assert run_command(["train", "--config", cfg, "--train-db", "inf",
                             "--quiet", "--out", str(out)]) == 0
         assert (out / "model_train+infdB_seed0.ckpt").exists()
+        # JSON has no infinity; a strict reader takes the manifest
+        text = (out / "manifest.json").read_text()
+        manifest = json.loads(text, parse_constant=pytest.fail)
+        assert manifest["arguments"] == {"train_db": "inf"}
 
     def test_failed_write_keeps_the_old_checkpoint(self, tmp_path, capsys,
                                                    monkeypatch):
@@ -489,6 +502,41 @@ class TestRobustness:
         assert run_command(["robustness", "--config", cfg, "--train-db",
                             "inf", "--quiet", "--out", str(out)]) == 0
         assert (out / "robustness.csv").exists()
+
+
+class TestOutputFiles:
+    """Each output is created as open() creates a file, with the umask's
+    mode, and replaced whole through a temporary file beside it."""
+
+    @pytest.mark.parametrize("command", ["overlap", "baseline", "train",
+                                         "sweep", "robustness"])
+    def test_every_file_takes_the_umask_mode(self, tmp_path, command):
+        cfg = quick_cfg(tmp_path, steps=20, max_blocks=2_000)
+        out = tmp_path / "run"
+        old = os.umask(0o027)
+        try:
+            assert run_command([command, "--config", cfg, "--quiet",
+                                "--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        names = sorted(os.listdir(out))
+        assert "manifest.json" in names and "config.cfg" in names
+        assert not [n for n in names if n.endswith(".tmp")]
+        modes = {n: oct((out / n).stat().st_mode & 0o777) for n in names}
+        assert modes == {n: oct(0o640) for n in names}
+
+    def test_umask_022_gives_world_readable_files(self, tmp_path):
+        out = tmp_path / "run"
+        old = os.umask(0o022)
+        try:
+            assert run_command(["overlap", "--quiet", "--out", str(out)]) == 0
+            # a second run replaces each file and keeps the mode
+            assert run_command(["overlap", "--quiet", "--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        names = sorted(os.listdir(out))
+        assert names == ["config.cfg", "manifest.json", "overlap.csv"]
+        assert all((out / n).stat().st_mode & 0o777 == 0o644 for n in names)
 
 
 class TestEntryPoints:

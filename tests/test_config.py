@@ -87,7 +87,8 @@ class TestRoundTrip:
     def test_numpy_numbers_round_trip(self):
         # written by their declared type: the repr of a NumPy float under
         # NumPy 2 is np.float64(0.5), which would not load back
-        config = ExperimentConfig(rho=np.float64(0.5),
+        config = ExperimentConfig(channel_kind="correlated_awgn",
+                                  rho=np.float64(0.5),
                                   train_ebn0_db=(np.float64(7.0),),
                                   seeds=(np.int64(3), 4))
         text = serialize_config(config)
@@ -243,6 +244,7 @@ class TestValidation:
     def test_numpy_numbers_accepted(self):
         config = ExperimentConfig(
             decoder_hidden=np.int32(8), max_blocks=np.int64(1000),
+            channel_kind="correlated_awgn",
             seeds=(np.int64(3), 4), rho=np.float32(0.5), learning_rate=1,
             train_ebn0_db=(np.float64(7.0),))
         assert config.decoder_hidden == 8 and config.seeds == (3, 4)
@@ -258,6 +260,9 @@ INVALID_FILES = [
      r"seeds: entries must be in \[0, 2\*\*64\)"),
     ("# probe\n[channel]\nkind = awgn\nrho = 1.5\n", 4,
      r"rho: must be in \[0, 1\), got 1\.5"),
+    # only the correlated kind has a rho; awgn would ignore it
+    ("[channel]\nkind = awgn\nrho = 0.9\n", 3,
+     r"rho: must be 0 unless kind is correlated_awgn, got 0\.9"),
     ("[sweep]\ntest_ebn0_start = 0\ntest_ebn0_stop = inf\n", 3,
      r"test_ebn0_stop: must be finite"),
     ("[sweep]\ntest_ebn0_start = -inf\n", 2,
@@ -288,7 +293,7 @@ INVALID_FILES = [
      r"variance at rate 0\.571429"),
 ]
 INVALID_IDS = ["repeated-seeds", "seed-2**64", "negative-seed",
-               "rho-out-of-range", "stop-inf", "start-inf",
+               "rho-out-of-range", "rho-on-awgn", "stop-inf", "start-inf",
                "step-inf", "learning-rate-inf", "epsilon-inf", "step-1e-300",
                "step-1e-6", "train-key-clash", "grid-key-clash",
                "train-db-4000", "grid-start-minus-4000"]
