@@ -206,9 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="suppress progress output")
         if workers:
             p.add_argument("--workers", type=_worker_count, default=1,
-                           help="threads running independent BLER "
-                                "estimates; results are identical for any "
-                                "count")
+                           help="threads, in one pool per command, "
+                                "running independent BLER estimates; "
+                                "results are identical for any count")
         if train_db:
             p.add_argument("--train-db", type=float, default=7.0,
                            help="training Eb/N0 in dB (default 7)")

@@ -28,6 +28,12 @@ from .errors import ConfigFileError, ConfigurationError
 # the reference grid has 25 points; the bound turns a mistyped step into an
 # error instead of an array too large to allocate or a run without end
 MAX_TEST_POINTS = 10_000
+# the reference trains 2**4 messages, 16 hidden units and batches of 256;
+# the bounds turn a size whose arrays cannot be allocated, or would take
+# gigabytes, into an error naming its key instead of a failure in training
+MAX_BLOCK_BITS = 10
+MAX_DECODER_HIDDEN = 2**12
+MAX_BATCH_SIZE = 2**16
 
 
 def db_key(db: float) -> str:
@@ -101,6 +107,9 @@ class ExperimentConfig:
         require(self.channel_kind in CHANNEL_KINDS, "kind",
                 f"must be one of {CHANNEL_KINDS}")
         require(0 < self.rate <= 1, "rate", f"must be in (0, 1], got {self.rate}")
+        require(self.block_bits <= MAX_BLOCK_BITS, "rate",
+                f"gives 2**{self.block_bits} messages, more than "
+                f"2**{MAX_BLOCK_BITS}")
         require(0.0 <= self.rho < 1.0, "rho", f"must be in [0, 1), got {self.rho}")
         require(self.rho == 0 or self.channel_kind == "correlated_awgn", "rho",
                 f"must be 0 unless kind is correlated_awgn, got {self.rho}")
@@ -110,9 +119,13 @@ class ExperimentConfig:
         require(0 < self.beta2 < 1, "beta2", "must be in (0, 1)")
         require(0 < self.epsilon < np.inf, "epsilon", "must be positive and finite")
         require(self.batch_size >= 1, "batch_size", "must be >= 1")
+        require(self.batch_size <= MAX_BATCH_SIZE, "batch_size",
+                f"must be <= {MAX_BATCH_SIZE}")
         require(self.steps >= 0, "steps", "must be >= 0")
         require(self.loss_log_interval >= 1, "loss_log_interval", "must be >= 1")
         require(self.decoder_hidden >= 1, "decoder_hidden", "must be >= 1")
+        require(self.decoder_hidden <= MAX_DECODER_HIDDEN, "decoder_hidden",
+                f"must be <= {MAX_DECODER_HIDDEN}")
         require(len(self.train_ebn0_db) > 0, "train_ebn0_db", "must be non-empty")
         require(all(np.isfinite(v) for v in self.train_ebn0_db), "train_ebn0_db",
                 "entries must be finite")
@@ -287,7 +300,8 @@ def loads_config(text: str) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark that some editors write
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigFileError(f"cannot read config file {path}: {exc}") from exc

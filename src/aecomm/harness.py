@@ -13,10 +13,11 @@ drawn whole.  Each system is a ``Link`` value: a channel spec, a codebook
 and a decoder.  The estimate sends the codewords in tiles of ``TILE_ROWS``
 rows, one ``channels.transmit`` per tile, decodes each tile, and draws no
 tile after the one that reaches the target.
-Parallelism is one level: the curve routines run whole estimates, one per
-(point, seed), on ``workers`` threads.  Each estimate owns its substreams,
-so every result is invariant to the worker count.  The CSVs write a float
-as its repr, an int as str, and a missing value as an empty field.
+Parallelism is one level: each command runs all its whole estimates, one
+per (curve, point, seed), on one pool of ``workers`` threads.  Each
+estimate owns its substreams, so every result is invariant to the worker
+count.  The CSVs write a float as its repr, an int as str, and a missing
+value as an empty field.
 """
 
 import numbers
@@ -284,69 +285,83 @@ def train_autoencoder(config: ExperimentConfig, train_ebn0_db, seed):
 
 # -- sweep --------------------------------------------------------------------
 
-def _require_hamming_rate(config):
-    if (config.block_bits, config.channel_uses) != (codecs.K, codecs.N):
-        raise ConfigurationError(
-            f"classical baselines are fixed at rate {codecs.K}/{codecs.N}; "
-            f"got {config.rate}")
+def _curves(rows, config: ExperimentConfig, workers) -> list:
+    """One BLER curve over the config's test grid per row, in row order.
 
-
-def _curve(system, label, train_ebn0_db, link_for, seeds, key, config,
-           workers) -> BlerCurve:
-    """One BLER curve over the config's test grid.
-
-    Each point pools the counts of one estimate per seed; the estimate for
-    ``seed`` at ``db`` runs ``link_for(seed, db)`` on the chunk substreams
-    ``(seed, "bler", key, db)``.  Curves that share ``key`` and a seed see
-    the same messages and draws.  Each estimate owns its substreams, so
-    ``workers`` threads running them give the same curve as one.  The tasks
-    start from the top of the grid, where estimates run longest, so that
-    no thread idles behind a long last task.
+    A row is ``(system, label, train_ebn0_db, link_for, seeds, key)``.  Each
+    point pools the counts of one estimate per seed of its row; the estimate
+    for ``seed`` at ``db`` runs ``link_for(seed, db)`` on the chunk
+    substreams ``(seed, "bler", key, db)``, so rows that share ``key`` and a
+    seed see the same draws.  All estimates run on one pool of ``workers``
+    threads, or in the caller at one worker, top of the grid first, where
+    they run longest, so that no thread idles behind a long last task.
+    Each owns its substreams, so the curves are the same at any count.
     """
     stop = StopRule(config.target_block_errors, config.max_blocks)
     grid = config.test_grid()
-    tasks = [(db, seed) for db in grid for seed in seeds][::-1]
+    tasks = [(i, j, seed) for j in reversed(range(len(grid)))
+             for i, row in enumerate(rows) for seed in row[4]]
 
     def estimate(task):
-        db, seed = task
-        return estimate_bler(link_for(seed, db), db, stop,
-                             seed_key=(seed, "bler", key, db_key(db)))
+        i, j, seed = task
+        _, _, _, link_for, _, key = rows[i]
+        return estimate_bler(link_for(seed, grid[j]), grid[j], stop,
+                             seed_key=(seed, "bler", key, db_key(grid[j])))
 
     if workers == 1:
         estimates = list(map(estimate, tasks))
     else:
         with ThreadPoolExecutor(workers) as pool:
             estimates = list(pool.map(estimate, tasks))
-    estimates.reverse()  # back to grid order
-    points = []
-    for i, db in enumerate(grid):
-        per_seed = estimates[i * len(seeds):(i + 1) * len(seeds)]
-        points.append(BlerPoint(db, sum(p.blocks for p in per_seed),
-                                sum(p.block_errors for p in per_seed)))
-    return BlerCurve(system, label, train_ebn0_db, len(seeds), points)
+    blocks, errors = {}, {}  # by (row, point), over the row's seeds
+    for (i, j, _), p in zip(tasks, estimates):
+        blocks[i, j] = blocks.get((i, j), 0) + p.blocks
+        errors[i, j] = errors.get((i, j), 0) + p.block_errors
+    return [BlerCurve(system, label, train_db, len(seeds),
+                      [BlerPoint(db, blocks[i, j], errors[i, j])
+                       for j, db in enumerate(grid)])
+            for i, (system, label, train_db, _, seeds, _) in enumerate(rows)]
 
 
-def _autoencoder_curves(config: ExperimentConfig, train_dbs, workers,
-                        say) -> list:
+def _autoencoder_rows(config: ExperimentConfig, train_dbs, say) -> list:
     """Train the config's seeds at every Eb/N0 of ``train_dbs``, all in one
-    lockstep, then estimate one curve per train Eb/N0 in that order, pooled
-    over the seeds, labelled and keyed ``ae-train{db:+g}dB``."""
+    lockstep, and return one row per train Eb/N0 in that order, over the
+    seeds, labelled and keyed ``ae-train{db:+g}dB``."""
     seeds = tuple(config.seeds)
     say(f"training autoencoders at {', '.join(f'{db:g}' for db in train_dbs)}"
         f" dB, seeds {', '.join(map(str, seeds))}")
     trained = train_autoencoder(config, train_dbs, seeds)
-    curves = []
+    rows = []
     for i, train_db in enumerate(train_dbs):
         point = trained[i * len(seeds):(i + 1) * len(seeds)]
         models = {seed: params for seed, (params, _) in zip(seeds, point)}
         label = f"ae-train{train_db:+g}dB"
-        say(f"estimating BLER for {label}")
-        curves.append(_curve(
+        rows.append((
             "autoencoder", label, float(train_db),
-            lambda seed, db: autoencoder_system(models[seed],
-                                                config.channel_spec(db)),
-            seeds, label, config, workers))
-    return curves
+            lambda seed, db, models=models: autoencoder_system(
+                models[seed], config.channel_spec(db)),
+            seeds, label))
+    return rows
+
+
+def _baseline_rows(config: ExperimentConfig) -> list:
+    """The baseline rows; raises unless the config is at the Hamming rate."""
+    if (config.block_bits, config.channel_uses) != (codecs.K, codecs.N):
+        raise ConfigurationError(
+            f"classical baselines are fixed at rate {codecs.K}/{codecs.N}; "
+            f"got {config.rate}")
+    rate = float(config.rate)
+    baselines = (
+        ("hamming_hard", "hamming-hard", hamming_hard_system, rate),
+        ("hamming_mld", "hamming-mld", hamming_mld_system, rate),
+        ("uncoded", "uncoded-bpsk", uncoded_system, 1.0),
+    )
+    return [(system_name, label, None,
+             lambda _, db, make=make, system_rate=system_rate: make(
+                 channels.ChannelSpec(config.channel_kind, db, system_rate,
+                                      rho=config.rho)),
+             config.seeds[:1], "baseline-channel")
+            for system_name, label, make, system_rate in baselines]
 
 
 def run_sweep(config: ExperimentConfig, workers: int = 1,
@@ -357,11 +372,11 @@ def run_sweep(config: ExperimentConfig, workers: int = 1,
     the ``baseline_curves`` (Hamming hard, Hamming MLD, uncoded BPSK) on the
     first seed.  ``progress`` is an optional callable taking a status string.
     """
-    _require_hamming_rate(config)
     say = progress if progress is not None else lambda text: None
-    curves = _autoencoder_curves(config, tuple(config.train_ebn0_db),
-                                 workers, say)
-    return curves + baseline_curves(config, workers=workers, progress=progress)
+    baselines = _baseline_rows(config)  # checks the rate before training
+    rows = _autoencoder_rows(config, config.train_ebn0_db, say) + baselines
+    say(f"estimating BLER for {', '.join(row[1] for row in rows)}")
+    return _curves(rows, config, workers)
 
 
 def baseline_curves(config: ExperimentConfig, workers: int = 1,
@@ -370,23 +385,10 @@ def baseline_curves(config: ExperimentConfig, workers: int = 1,
     grid, on the config's channel kind at each system's own rate.  Hard and
     MLD share one substream per point, so their noise is matched draw for
     draw."""
-    _require_hamming_rate(config)
     say = progress if progress is not None else lambda text: None
-    rate = float(config.rate)
-    baselines = (
-        ("hamming_hard", "hamming-hard", hamming_hard_system, rate),
-        ("hamming_mld", "hamming-mld", hamming_mld_system, rate),
-        ("uncoded", "uncoded-bpsk", uncoded_system, 1.0),
-    )
-    curves = []
-    for system_name, label, make, system_rate in baselines:
-        say(f"estimating BLER for {label}")
-        curves.append(_curve(
-            system_name, label, None,
-            lambda _, db: make(channels.ChannelSpec(
-                config.channel_kind, db, system_rate, rho=config.rho)),
-            config.seeds[:1], "baseline-channel", config, workers))
-    return curves
+    rows = _baseline_rows(config)
+    say(f"estimating BLER for {', '.join(row[1] for row in rows)}")
+    return _curves(rows, config, workers)
 
 
 # -- width probe --------------------------------------------------------------
@@ -398,17 +400,18 @@ def width_sweep(config: ExperimentConfig, widths,
     Every width draws the sweep's test blocks for that point, so the curves
     are a paired comparison and the config's own width reproduces the
     sweep's curve.  A training failure names the width."""
-    curves = []
+    rows = []
     for width in widths:
         try:
-            [curve] = _autoencoder_curves(
-                replace(config, decoder_hidden=width), (train_ebn0_db,), 1,
-                lambda text: None)
+            [row] = _autoencoder_rows(replace(config, decoder_hidden=width),
+                                      (train_ebn0_db,), lambda text: None)
         except (DivergenceError, DegenerateCodewordError) as exc:
             raise type(exc)(f"width {width}: {exc.reason}", step=exc.step,
                             model=exc.model) from exc
-        curves.append(replace(curve, label=f"ae-width{width}"))
-    return curves
+        system, _, train_db, link_for, seeds, key = row
+        rows.append((system, f"ae-width{width}", train_db, link_for, seeds,
+                     key))
+    return _curves(rows, config, 1)
 
 
 # -- channel-mismatch probe ---------------------------------------------------
@@ -429,15 +432,11 @@ def robustness_probe(params: nn.ModelParams, config: ExperimentConfig,
     variants += [(f"ae-corr-rho{rho:g}", "correlated_awgn", rho) for rho in rhos]
     if include_rayleigh:
         variants.append(("ae-rayleigh", "rayleigh", 0.0))
-
-    curves = []
-    for label, kind, rho in variants:
-        curves.append(_curve(
-            "autoencoder", label, float(train_ebn0_db),
-            lambda _, db: autoencoder_system(
-                params, channels.ChannelSpec(kind, db, rate, rho=rho)),
-            (seed,), "robust", config, workers))
-    return curves
+    rows = [("autoencoder", label, float(train_ebn0_db),
+             lambda _, db, kind=kind, rho=rho: autoencoder_system(
+                 params, channels.ChannelSpec(kind, db, rate, rho=rho)),
+             (seed,), "robust") for label, kind, rho in variants]
+    return _curves(rows, config, workers)
 
 
 # -- emitters -----------------------------------------------------------------

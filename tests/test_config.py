@@ -133,6 +133,14 @@ class TestParseErrors:
         with pytest.raises(ConfigFileError, match=r"line 2"):
             loads_config("[training]\nsteps 5\n")
 
+    def test_byte_order_mark_accepted(self, tmp_path):
+        # as Notepad and PowerShell 5's Out-File -Encoding utf8 save it
+        path = tmp_path / "bom.cfg"
+        path.write_text(REFERENCE.read_text(encoding="utf-8"),
+                        encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_config(path) == ExperimentConfig()
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigFileError, match="cannot read"):
             load_config(tmp_path / "absent.cfg")
@@ -291,12 +299,21 @@ INVALID_FILES = [
     ("# deep grid\n[sweep]\ntest_ebn0_start = -4000\n", 3,
      r"test_ebn0_start: Eb/N0 -4000 dB gives no positive, finite noise "
      r"variance at rate 0\.571429"),
+    # arrays that cannot be allocated: each would fail only in training,
+    # with NumPy's message
+    ("[channel]\nrate = 30/31\n", 2,
+     r"rate: gives 2\*\*30 messages, more than 2\*\*10"),
+    ("[training]\ndecoder_hidden = 1000000000000000\n", 2,
+     r"decoder_hidden: must be <= 4096"),
+    ("# big batch\n[training]\nbatch_size = 1000000000000000\n", 3,
+     r"batch_size: must be <= 65536"),
 ]
 INVALID_IDS = ["repeated-seeds", "seed-2**64", "negative-seed",
                "rho-out-of-range", "rho-on-awgn", "stop-inf", "start-inf",
                "step-inf", "learning-rate-inf", "epsilon-inf", "step-1e-300",
                "step-1e-6", "train-key-clash", "grid-key-clash",
-               "train-db-4000", "grid-start-minus-4000"]
+               "train-db-4000", "grid-start-minus-4000", "rate-30-31",
+               "decoder-hidden-1e15", "batch-size-1e15"]
 
 
 class TestValidationNamesLine:

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -546,7 +547,8 @@ class TestBaselines:
 
 
 class TestWorkers:
-    """Workers run whole estimates, one per (point, seed)."""
+    """Workers run whole estimates, one per (curve, point, seed), on one
+    pool per call."""
 
     def test_baseline_curves_equal_at_one_and_three_workers(self):
         config = reduced_config(test_ebn0_start=0.0, test_ebn0_stop=6.0,
@@ -560,6 +562,44 @@ class TestWorkers:
         threaded = harness.run_sweep(config, workers=2)
         assert threaded == serial
         assert serial[0].seed_count == 2
+
+    def test_robustness_probe_equal_at_one_and_three_workers(self,
+                                                             quick_model):
+        config = reduced_config(test_ebn0_start=0.0, test_ebn0_stop=8.0,
+                                test_ebn0_step=4.0, max_blocks=10_000)
+
+        def probe(workers):
+            return harness.robustness_probe(quick_model, config, 7.0, seed=0,
+                                            rhos=(0.5, 0.9), workers=workers)
+
+        threaded = probe(3)
+        assert [c.label for c in threaded] == [
+            "ae-awgn", "ae-corr-rho0.5", "ae-corr-rho0.9", "ae-rayleigh"]
+        assert threaded == probe(1)
+
+    def test_rows_of_one_label_pool_apart(self):
+        # pooling by label would merge the two rows into doubled counts
+        config = reduced_config(steps=60)
+        first, second = harness.width_sweep(config, [8, 8])
+        [alone] = harness.width_sweep(config, [8])
+        assert first.label == second.label == "ae-width8"
+        assert first == second == alone
+
+    def test_sweep_opens_one_pool(self, monkeypatch):
+        pools = []
+
+        class Counting(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", Counting)
+        config = reduced_config(steps=50, train_ebn0_db=(0.0, 7.0))
+        curves = harness.run_sweep(config, workers=2)
+        assert [c.label for c in curves] == [
+            "ae-train+0dB", "ae-train+7dB", "hamming-hard", "hamming-mld",
+            "uncoded-bpsk"]
+        assert len(pools) == 1
 
     # the Rayleigh BLER falls much more slowly with Eb/N0, so its grid runs
     # to 32 dB to reach points past the first chunk
